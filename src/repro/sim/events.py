@@ -6,13 +6,14 @@ breaker so that events scheduled at the same instant fire in FIFO order and
 runs are fully deterministic.
 
 Cancelled events are removed lazily: :meth:`Event.cancel` only sets a flag,
-and the loop skips flagged entries as they surface at the heap top.  Reschedule-
-heavy servers (the waterfill bandwidth model re-plans every active job on
-every change) can flood the heap with corpses, so the loop counts live
-cancellations and *compacts* — rebuilds and re-heapifies the live entries —
-once corpses outnumber half the heap.  :meth:`EventLoop.schedule_batch`
-amortizes bulk scheduling (N client start-ups, a tick train) into one
-heapify instead of N pushes where that is cheaper.
+and the loop skips flagged entries as they surface at the heap top.  A
+caller that cancels far more than it fires (mass timeout cancellation, a
+server re-arming timers faster than they expire) can still flood the heap
+with corpses, so the loop counts live cancellations and *compacts* —
+rebuilds and re-heapifies the live entries — once corpses outnumber half
+the heap.  :meth:`EventLoop.schedule_batch` amortizes bulk scheduling
+(N client start-ups, a tick train) into one heapify instead of N pushes
+where that is cheaper.
 """
 
 from __future__ import annotations

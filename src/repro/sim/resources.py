@@ -13,11 +13,13 @@ need:
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Deque, Dict, Generator, Optional
+from typing import Deque, Generator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.process import Simulator, Timeout, WaitEvent
+from repro.sim.waterfill import WaterfillServer
 
 
 class FcfsServer:
@@ -87,87 +89,25 @@ class FcfsServer:
             self._queue.popleft().trigger()
 
 
-class ProcessorSharingServer:
+class ProcessorSharingServer(WaterfillServer):
     """A fluid resource of fixed total capacity shared equally by jobs.
 
     A job submits an amount of *work* (in capacity-units × seconds at full
     speed).  While *n* jobs are active each receives ``capacity / n`` of the
-    rate.  Completion times are recomputed whenever the active set changes,
+    rate.  Scheduling is :class:`~repro.sim.waterfill.WaterfillServer`'s —
+    one completion timer, re-planned whenever the active set changes —
     which makes the model exact for egalitarian processor sharing.
     """
 
-    class _Job:
-        __slots__ = ("remaining", "gate", "event")
-
-        def __init__(self, remaining: float, gate: WaitEvent):
-            self.remaining = remaining
-            self.gate = gate
-            self.event = None
-
     def __init__(self, sim: Simulator, capacity: float, name: str = "ps"):
-        if capacity <= 0:
-            raise SimulationError(f"{name}: capacity must be positive")
-        self._sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._jobs: Dict[int, ProcessorSharingServer._Job] = {}
-        self._next_id = 0
-        self._last_update = 0.0
-        self.total_work_done = 0.0
+        super().__init__(sim, capacity, name)
 
-    @property
-    def active_jobs(self) -> int:
-        return len(self._jobs)
-
-    def _rate_per_job(self) -> float:
-        n = len(self._jobs)
-        return self.capacity / n if n else 0.0
-
-    def _advance(self) -> None:
-        """Drain elapsed progress into every active job."""
-        now = self._sim.now
-        elapsed = now - self._last_update
-        if elapsed > 0 and self._jobs:
-            rate = self._rate_per_job()
-            for job in self._jobs.values():
-                done = rate * elapsed
-                job.remaining = max(0.0, job.remaining - done)
-                self.total_work_done += done
-        self._last_update = now
-
-    def _reschedule(self) -> None:
-        """Re-arm each job's completion event for the new sharing rate."""
-        rate = self._rate_per_job()
-        for job_id, job in list(self._jobs.items()):
-            if job.event is not None:
-                job.event.cancel()
-            delay = job.remaining / rate if rate > 0 else float("inf")
-            job.event = self._sim.loop.schedule_after(
-                delay, lambda ev, jid=job_id: self._complete(jid)
-            )
-
-    def _complete(self, job_id: int) -> None:
-        self._advance()
-        job = self._jobs.pop(job_id, None)
-        if job is None:
-            return
-        self._reschedule()
-        job.gate.trigger()
+    def _shares(self, caps: List[float]) -> List[float]:
+        return [self._capacity / len(caps)] * len(caps)
 
     def submit(self, work: float) -> Generator:
         """Generator: suspends until *work* capacity-seconds are served."""
-        if work < 0:
-            raise SimulationError(f"{self.name}: negative work {work}")
-        if work == 0:
-            return None
-        self._advance()
-        gate = self._sim.event()
-        job = ProcessorSharingServer._Job(work, gate)
-        self._jobs[self._next_id] = job
-        self._next_id += 1
-        self._reschedule()
-        yield gate
-        return None
+        return super().submit(work, cap=math.inf)
 
 
 class TokenBucket:

@@ -9,9 +9,11 @@ and redistribute the share that capped jobs cannot use among the rest.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.errors import SimulationError
+from repro.sim.events import Event
 from repro.sim.process import Simulator, WaitEvent
 
 
@@ -64,18 +66,23 @@ class WaterfillServer:
     """Processor-sharing server with per-job rate caps.
 
     Jobs submit an amount of work and a cap on the rate at which they may
-    be served.  At any instant rates follow :func:`waterfill`.  Completion
-    events are recomputed whenever the active set changes.
+    be served.  At any instant rates follow :func:`waterfill`.  Rates only
+    change when the active set or the capacity does, so each change
+    computes them once and caches them on the jobs; progress between
+    changes is drained at the cached rates.  The server keeps a single
+    completion timer in the event loop, posted for the earliest finisher
+    (ties go to the earliest submitted job) and re-posted on each change,
+    so a change costs one event however many jobs are active.
     """
 
     class _Job:
-        __slots__ = ("remaining", "cap", "gate", "event")
+        __slots__ = ("remaining", "cap", "gate", "rate")
 
         def __init__(self, remaining: float, cap: float, gate: WaitEvent):
             self.remaining = remaining
             self.cap = cap
             self.gate = gate
-            self.event = None
+            self.rate = 0.0
 
     def __init__(self, sim: Simulator, capacity: float, name: str = "waterfill"):
         if capacity <= 0:
@@ -86,8 +93,8 @@ class WaterfillServer:
         self._jobs: Dict[int, WaterfillServer._Job] = {}
         self._next_id = 0
         self._last_update = 0.0
+        self._timer: Optional[Event] = None
         self.total_work_done = 0.0
-        self._busy_time_area = 0.0  # integral of (work rate) over time
 
     @property
     def capacity(self) -> float:
@@ -114,42 +121,52 @@ class WaterfillServer:
         self._advance()
         if end_time <= 0:
             return 0.0
-        return self._busy_time_area / (self._capacity * end_time)
+        return self.total_work_done / (self._capacity * end_time)
 
-    def _rates(self) -> Dict[int, float]:
-        ids = list(self._jobs.keys())
-        caps = [self._jobs[i].cap for i in ids]
-        rates = waterfill(self._capacity, caps)
-        return dict(zip(ids, rates))
+    def _shares(self, caps: List[float]) -> List[float]:
+        """Rates for active jobs with rate caps *caps*, in submit order."""
+        return waterfill(self._capacity, caps)
 
     def _advance(self) -> None:
+        """Drain the progress made at the cached rates since the last call."""
         now = self._sim.now
         elapsed = now - self._last_update
         if elapsed > 0 and self._jobs:
-            for job_id, rate in self._rates().items():
-                job = self._jobs[job_id]
-                done = rate * elapsed
-                job.remaining = max(0.0, job.remaining - done)
-                self.total_work_done += done
-                self._busy_time_area += done
+            total = self.total_work_done
+            for job in self._jobs.values():
+                done = job.rate * elapsed
+                left = job.remaining - done
+                job.remaining = left if left > 0.0 else 0.0
+                total += done
+            self.total_work_done = total
         self._last_update = now
 
     def _reschedule(self) -> None:
-        rates = self._rates()
-        for job_id, job in list(self._jobs.items()):
-            if job.event is not None:
-                job.event.cancel()
-            rate = rates.get(job_id, 0.0)
-            delay = job.remaining / rate if rate > 0 else float("inf")
-            job.event = self._sim.loop.schedule_after(
-                delay, lambda ev, jid=job_id: self._complete(jid)
-            )
-
-    def _complete(self, job_id: int) -> None:
-        self._advance()
-        job = self._jobs.pop(job_id, None)
-        if job is None:
+        """Re-rate the active jobs and re-post the completion timer."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        jobs = self._jobs
+        if not jobs:
             return
+        now = self._sim.now
+        rates = self._shares([job.cap for job in jobs.values()])
+        # Earliest finish time, first submitted on ties: the order a heap
+        # of per-job ``(time, seq)`` completion events would fire in.
+        first, first_time = -1, math.inf
+        for (job_id, job), rate in zip(jobs.items(), rates):
+            job.rate = rate
+            finish = now + job.remaining / rate if rate > 0 else math.inf
+            if first < 0 or finish < first_time:
+                first, first_time = job_id, finish
+        self._timer = self._sim.loop.schedule_at(first_time, self._complete, first)
+
+    def _complete(self, timer: Event) -> None:
+        self._timer = None
+        self._advance()
+        job = self._jobs.pop(timer.payload)
+        # Re-arm before waking the owner, so the next timer precedes the
+        # owner's resumption among events at the same instant.
         self._reschedule()
         job.gate.trigger()
 

@@ -165,3 +165,187 @@ class TestWaterfillServerProperties:
         proc = sim.spawn(worker())
         sim.run()
         assert proc.result == pytest.approx(8.0 / min(cap, 4.0), rel=1e-6)
+
+
+class _PerJobEventServer:
+    """Reference model: the waterfill server as it was before the single
+    completion timer.  Every change cancels and re-posts one completion
+    event per active job and recomputes the rates in ``_advance``.  The
+    oracle test below requires :class:`WaterfillServer` to match it
+    bit for bit."""
+
+    class _Job:
+        __slots__ = ("remaining", "cap", "gate", "event")
+
+        def __init__(self, remaining, cap, gate):
+            self.remaining = remaining
+            self.cap = cap
+            self.gate = gate
+            self.event = None
+
+    def __init__(self, sim, capacity):
+        self._sim = sim
+        self._capacity = capacity
+        self._jobs = {}
+        self._next_id = 0
+        self._last_update = 0.0
+        self.total_work_done = 0.0
+        self._busy_time_area = 0.0
+
+    def set_capacity(self, capacity):
+        self._advance()
+        self._capacity = capacity
+        self._reschedule()
+
+    def utilization(self, end_time):
+        self._advance()
+        if end_time <= 0:
+            return 0.0
+        return self._busy_time_area / (self._capacity * end_time)
+
+    def _rates(self):
+        ids = list(self._jobs.keys())
+        caps = [self._jobs[i].cap for i in ids]
+        return dict(zip(ids, waterfill(self._capacity, caps)))
+
+    def _advance(self):
+        now = self._sim.now
+        elapsed = now - self._last_update
+        if elapsed > 0 and self._jobs:
+            for job_id, rate in self._rates().items():
+                job = self._jobs[job_id]
+                done = rate * elapsed
+                job.remaining = max(0.0, job.remaining - done)
+                self.total_work_done += done
+                self._busy_time_area += done
+        self._last_update = now
+
+    def _reschedule(self):
+        rates = self._rates()
+        for job_id, job in list(self._jobs.items()):
+            if job.event is not None:
+                job.event.cancel()
+            rate = rates.get(job_id, 0.0)
+            delay = job.remaining / rate if rate > 0 else float("inf")
+            job.event = self._sim.loop.schedule_after(
+                delay, lambda ev, jid=job_id: self._complete(jid)
+            )
+
+    def _complete(self, job_id):
+        self._advance()
+        job = self._jobs.pop(job_id, None)
+        if job is None:
+            return
+        self._reschedule()
+        job.gate.trigger()
+
+    def submit(self, work, cap):
+        if work == 0:
+            return None
+        self._advance()
+        gate = self._sim.event()
+        self._jobs[self._next_id] = self._Job(work, cap, gate)
+        self._next_id += 1
+        self._reschedule()
+        yield gate
+        return None
+
+
+def _drive(server_cls, capacity, jobs, resize):
+    """Run *jobs* ``(delay, work, cap)`` through a fresh server, resizing
+    it to ``resize[1]`` at time ``resize[0]``; return the completion
+    sequence, the work done and the utilization."""
+    sim = Simulator()
+    server = server_cls(sim, capacity)
+    completions = []
+
+    def worker(index, delay, work, cap):
+        yield Timeout(delay)
+        yield from server.submit(work, cap=cap)
+        completions.append((sim.now, index))
+
+    def resizer():
+        yield Timeout(resize[0])
+        server.set_capacity(resize[1])
+
+    for index, (delay, work, cap) in enumerate(jobs):
+        sim.spawn(worker(index, delay, work, cap))
+    sim.spawn(resizer())
+    sim.run()
+    return completions, server.total_work_done, server.utilization(sim.now)
+
+
+class TestSingleTimerMatchesPerJobEvents:
+    """The one-timer server is bit-identical to the per-job-event model."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                # Repeated delays and works force simultaneous submits
+                # and completions; the floats spread the rest.
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(min_value=0.0, max_value=3.0)),
+                st.one_of(st.sampled_from([0.25, 1.0, 2.0]),
+                          st.floats(min_value=0.01, max_value=5.0)),
+                st.sampled_from([1.0, 2.0, 4.0, 32.0]),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.floats(min_value=1.0, max_value=16.0),
+        st.tuples(st.floats(min_value=0.0, max_value=4.0),
+                  st.floats(min_value=0.5, max_value=16.0)),
+    )
+    def test_same_completions_work_and_utilization(self, jobs, capacity, resize):
+        expected = _drive(_PerJobEventServer, capacity, jobs, resize)
+        assert _drive(WaterfillServer, capacity, jobs, resize) == expected
+
+    def test_equal_jobs_complete_together_in_submit_order(self):
+        jobs = [(0.0, 1.0, 1.0)] * 4 + [(0.5, 1.0, 1.0)] * 2
+        expected = _drive(_PerJobEventServer, 3.0, jobs, (0.75, 2.0))
+        actual = _drive(WaterfillServer, 3.0, jobs, (0.75, 2.0))
+        assert actual == expected
+        assert [index for _, index in actual[0]] == [0, 1, 2, 3, 4, 5]
+
+
+class TestSingleTimer:
+    def test_one_live_event_and_one_post_per_change(self):
+        sim = Simulator()
+        server = WaterfillServer(sim, capacity=16.0)
+        posted = []
+        schedule_at = sim.loop.schedule_at
+
+        def recording(time, callback, payload=None):
+            event = schedule_at(time, callback, payload)
+            if getattr(callback, "__self__", None) is server:
+                posted.append(event)
+            return event
+
+        sim.loop.schedule_at = recording
+        finished = []
+
+        def worker(index):
+            yield from server.submit(1.0 + index / 8.0, cap=1.0 + index % 4)
+            finished.append(index)
+
+        for index in range(50):
+            sim.spawn(worker(index))
+        changes = 0
+        while True:
+            before = (len(posted), server.active_jobs)
+            if not sim.loop.step():
+                break
+            live = [ev for ev in posted if not ev.cancelled and not ev.fired]
+            assert len(live) <= 1
+            assert len(live) == (1 if server.active_jobs else 0)
+            new_posts = len(posted) - before[0]
+            if server.active_jobs != before[1]:
+                # One submit or one completion per step here.
+                assert abs(server.active_jobs - before[1]) == 1
+                changes += 1
+                assert new_posts == (1 if server.active_jobs else 0)
+            else:
+                assert new_posts == 0
+        assert sorted(finished) == list(range(50))
+        assert changes == 100
+        assert len(posted) == 99
