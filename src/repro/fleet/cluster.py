@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.backends import DEFAULT_ROUTER_BACKENDS, make_backend
 from repro.core.knobs import ResourceAllocation
 from repro.errors import ConfigurationError, FaultInjectionError
@@ -55,7 +53,7 @@ from repro.fleet.health import FailoverController, HeartbeatMonitor
 from repro.fleet.replicas import Replica, ReplicaGroup
 from repro.hardware.machine import Machine, MachineSpec
 from repro.sim.process import Simulator, Timeout
-from repro.sim.randomness import RandomStreams
+from repro.sim.randomness import RandomStreams, draw_index, weight_cdf
 from repro.sim.stats import Cdf
 from repro.workloads import make_workload
 from repro.workloads.arrivals import ArrivalSpec
@@ -418,8 +416,7 @@ class FleetCluster:
         for _ in range(spec.shards):
             self._build_shard(ready_at=0.0)
         # -- tenant state --------------------------------------------------------
-        weights = np.array([t.weight for t in spec.tenants], dtype=float)
-        self._tenant_weights = weights / weights.sum()
+        self._tenant_cdf = weight_cdf([t.weight for t in spec.tenants])
         self._buckets: Dict[str, _TokenBucket] = {}
         for tenant in spec.tenants:
             if tenant.rate_limit_tps > 0:
@@ -545,8 +542,7 @@ class FleetCluster:
         deterministic = spec.arrival.trace == "deterministic"
         peak = trace.peak_rate() if trace is not None else offered
         types = self.workload.transaction_types()
-        type_weights = np.array([t.weight for t in types], dtype=float)
-        type_weights /= type_weights.sum()
+        type_cdf = weight_cdf([t.weight for t in types])
         tenants = spec.tenants
         while self.sim.now < until:
             gap = (1.0 / offered if deterministic
@@ -557,8 +553,7 @@ class FleetCluster:
             if trace is not None:
                 if float(rng.uniform()) * peak > trace.rate_at(self.sim.now):
                     continue
-            tenant = tenants[int(rng.choice(len(tenants),
-                                            p=self._tenant_weights))]
+            tenant = tenants[draw_index(rng, self._tenant_cdf)]
             self.arrivals += 1
             self.tenant_arrivals[tenant.name] += 1
             bucket = self._buckets.get(tenant.name)
@@ -569,7 +564,7 @@ class FleetCluster:
             if shard is None:
                 self._shed(tenant)
                 continue
-            txn_type = types[int(rng.choice(len(types), p=type_weights))]
+            txn_type = types[draw_index(rng, type_cdf)]
             demand = self.workload.build_demand(shard.engine, txn_type, rng)
             shard.in_flight += 1
             shard.in_flight_peak = max(shard.in_flight_peak, shard.in_flight)

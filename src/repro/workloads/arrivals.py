@@ -52,6 +52,7 @@ import numpy as np
 from repro.engine.engine import SqlEngine
 from repro.errors import WorkloadError
 from repro.sim.process import Timeout
+from repro.sim.randomness import draw_index, weight_cdf
 from repro.sim.stats import Cdf
 from repro.workloads.base import ThroughputTracker
 from repro.workloads.oltp import OltpWorkloadBase
@@ -330,11 +331,10 @@ class OpenLoopDriver:
         self._rng = engine.machine.streams.get(seed_stream)
         self._in_flight = 0
         self.result = OpenLoopResult(offered_tps=offered_tps)
-        if self.tenants:
-            weights = np.array([t.weight for t in self.tenants], dtype=float)
-            self._tenant_weights = weights / weights.sum()
-        else:
-            self._tenant_weights = None
+        self._tenant_cdf = (
+            weight_cdf([t.weight for t in self.tenants]) if self.tenants
+            else None
+        )
 
     @classmethod
     def from_spec(
@@ -375,8 +375,7 @@ class OpenLoopDriver:
     def _arrivals(self, until: float) -> Generator:
         sim = self.engine.machine.sim
         types = self.workload.transaction_types()
-        weights = np.array([t.weight for t in types], dtype=float)
-        weights /= weights.sum()
+        type_cdf = weight_cdf([t.weight for t in types])
         peak = self.trace.peak_rate() if self.trace is not None else self.offered_tps
         while sim.now < until:
             gap = (
@@ -395,17 +394,15 @@ class OpenLoopDriver:
                 if keep > self.trace.rate_at(sim.now):
                     continue
             tenant = None
-            if self._tenant_weights is not None:
-                tenant = self.tenants[
-                    self._rng.choice(len(self.tenants), p=self._tenant_weights)
-                ]
+            if self._tenant_cdf is not None:
+                tenant = self.tenants[draw_index(self._rng, self._tenant_cdf)]
             if self._in_flight >= self.max_in_flight:
                 self.result.dropped += 1
                 if tenant is not None:
                     by = self.result.dropped_by_tenant
                     by[tenant.name] = by.get(tenant.name, 0) + 1
                 continue
-            txn_type = types[self._rng.choice(len(types), p=weights)]
+            txn_type = types[draw_index(self._rng, type_cdf)]
             demand = self.workload.build_demand(self.engine, txn_type, self._rng)
             self._in_flight += 1
             sim.spawn(self._execute(demand, tenant), name="open-loop-txn")

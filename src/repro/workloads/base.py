@@ -34,7 +34,10 @@ class ThroughputTracker:
 
     def record(self, kind: str, latency: float) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.latencies.setdefault(kind, Cdf()).add(latency)
+        cdf = self.latencies.get(kind)
+        if cdf is None:
+            cdf = self.latencies[kind] = Cdf()
+        cdf.add(latency)
 
     def count(self, kind: str) -> int:
         return self.counts.get(kind, 0)
