@@ -26,6 +26,15 @@ past capacity.  The pieces:
   monotone-graceful-degradation contract — as load rises, sheds
   concentrate on low-priority traffic while the protected class's p99
   stays inside its SLO.
+* **Placement.**  An admitted arrival goes to the least-loaded ready
+  shard below its class's watermark, ties to the lowest index.  The
+  watermarks are computed once per cluster, and one index-order scan
+  against a shrinking load bound finds the shard, checking readiness
+  only for a would-be winner.
+* **Arrivals.**  The arrival instants come from
+  :func:`~repro.workloads.arrivals.arrival_times`, the same thinning
+  generator the single-engine open-loop driver uses; thinned candidates
+  never become events.
 * **Autoscaling.**  An optional deterministic
   :class:`~repro.fleet.autoscale.Autoscaler` grows/shrinks the ready
   shard set on queue-depth + grant-wait signals, paying the serverless
@@ -52,11 +61,11 @@ from repro.fleet.autoscale import Autoscaler, AutoscalePolicy
 from repro.fleet.health import FailoverController, HeartbeatMonitor
 from repro.fleet.replicas import Replica, ReplicaGroup
 from repro.hardware.machine import Machine, MachineSpec
-from repro.sim.process import Simulator, Timeout
+from repro.sim.process import At, Simulator, Timeout
 from repro.sim.randomness import RandomStreams, draw_index, weight_cdf
 from repro.sim.stats import Cdf
 from repro.workloads import make_workload
-from repro.workloads.arrivals import ArrivalSpec
+from repro.workloads.arrivals import ArrivalSpec, arrival_times
 
 #: Priority-shedding watermarks: the admission fraction of shard
 #: capacity available to priority *p* is ``max(FLOOR, 1 - STEP * p)``.
@@ -434,6 +443,10 @@ class FleetCluster:
                                                  for t in spec.tenants}
         self.first_shed_at: Dict[str, float] = {}
         self._priorities = sorted({t.priority for t in spec.tenants})
+        #: Admission bound per priority class; ``capacity_per_shard`` is
+        #: fixed for the cluster's life, so each is computed once.
+        self._watermarks = {p: priority_watermark(p, self.capacity_per_shard)
+                            for p in self._priorities}
         #: Per priority class: first instant an arrival of that class was
         #: (or would have been) refused.  Watermarks nest — a shard full
         #: for priority p is full for every q > p — so when priority p
@@ -521,14 +534,24 @@ class FleetCluster:
 
     def _place(self, priority: int) -> Optional[_Shard]:
         """Least-loaded ready shard that still admits this priority
-        class (deterministic: ties break to the lowest index)."""
+        class (deterministic: ties break to the lowest index).
+
+        One pass in index order against a shrinking bound: a shard must
+        be strictly below the priority's watermark and, once a candidate
+        is found, strictly below the best load so far.  Readiness is
+        checked only for a shard that passes the load test, and an idle
+        ready shard ends the scan — nothing can beat load 0.
+        """
+        now = self.sim.now
+        bound = self._watermarks[priority]
         best = None
-        for shard in self.ready_shards():
-            if shard.in_flight >= priority_watermark(priority,
-                                                     self.capacity_per_shard):
-                continue
-            if best is None or shard.in_flight < best.in_flight:
+        for shard in self.shards:
+            load = shard.in_flight
+            if load < bound and shard.ready(now):
                 best = shard
+                if load == 0:
+                    break
+                bound = load
         return best
 
     # -- traffic -----------------------------------------------------------------
@@ -537,22 +560,15 @@ class FleetCluster:
         spec = self.spec
         rng = self.streams.get("arrivals")
         trace_rng = self.streams.get("arrivals.trace")
-        trace = spec.arrival.build_trace(until, trace_rng)
-        offered = spec.arrival.offered_tps
-        deterministic = spec.arrival.trace == "deterministic"
-        peak = trace.peak_rate() if trace is not None else offered
+        times = arrival_times(
+            rng, spec.arrival.build_trace(until, trace_rng),
+            spec.arrival.offered_tps, spec.arrival.trace == "deterministic",
+            self.sim.now, until)
         types = self.workload.transaction_types()
         type_cdf = weight_cdf([t.weight for t in types])
         tenants = spec.tenants
-        while self.sim.now < until:
-            gap = (1.0 / offered if deterministic
-                   else float(rng.exponential(1.0 / peak)))
-            yield Timeout(gap)
-            if self.sim.now >= until:
-                break
-            if trace is not None:
-                if float(rng.uniform()) * peak > trace.rate_at(self.sim.now):
-                    continue
+        for t in times:
+            yield At(t)
             tenant = tenants[draw_index(rng, self._tenant_cdf)]
             self.arrivals += 1
             self.tenant_arrivals[tenant.name] += 1

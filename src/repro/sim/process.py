@@ -3,6 +3,7 @@
 A *process* is a Python generator that yields *commands*:
 
 * :class:`Timeout` — suspend for a simulated duration,
+* :class:`At` — suspend until an absolute simulated time,
 * :class:`WaitEvent` — suspend until another process triggers a condition,
 * another :class:`Process` — suspend until that process terminates.
 
@@ -27,6 +28,21 @@ class Timeout:
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
         self.delay = delay
+
+
+class At:
+    """Yield target: suspend the process until absolute simulated *time*.
+
+    Unlike ``Timeout(time - now)``, the resume lands on *time* bit for
+    bit: ``now + (time - now)`` is not always ``time`` in floating point.
+    A *time* before the current clock raises :class:`SimulationError`
+    when the process yields it.
+    """
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float):
+        self.time = time
 
 
 class WaitEvent:
@@ -122,6 +138,8 @@ class Process:
                 command._add_waiter(self)
         elif isinstance(command, Process):
             self._dispatch(command.done)
+        elif isinstance(command, At):
+            self._sim.loop.schedule_at(command.time, lambda ev: self._resume(None))
         else:
             raise SimulationError(f"process {self.name!r} yielded unsupported command: {command!r}")
 

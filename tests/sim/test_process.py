@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.process import Simulator, Timeout
+from repro.sim.process import At, Simulator, Timeout
 
 
 def test_timeout_advances_clock():
@@ -166,3 +166,35 @@ class TestSpawnMany:
     def test_empty_batch(self):
         sim = Simulator()
         assert sim.spawn_many([]) == []
+
+
+def test_at_resumes_at_exactly_the_absolute_time():
+    sim = Simulator()
+    # A relative wait from 0.2 would miss 6/7: ``now + (t - now)`` is
+    # not always ``t`` in floating point.  At must land on it exactly.
+    target = 6 / 7
+    assert 0.2 + (target - 0.2) != target
+    seen = []
+
+    def proc():
+        yield Timeout(0.2)
+        yield At(target)
+        seen.append(sim.now)
+        yield At(target)        # waiting for the current instant is allowed
+        seen.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run()
+    assert seen == [target, target]
+
+
+def test_at_in_the_past_raises():
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+        yield At(0.5)
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError):
+        sim.run()

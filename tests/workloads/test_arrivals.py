@@ -166,3 +166,133 @@ class TestOpenLoopSweep:
         assert m.arrival_sheds > 0
         assert set(m.sheds_by_tenant) <= {"gold", "scrap"}
         assert sum(m.sheds_by_tenant.values()) == m.arrival_sheds
+
+
+class TestArrivalTimes:
+    """The shared arrival-time generator against the original
+    one-event-per-candidate thinning loop."""
+
+    UNTIL = 6.0
+
+    @staticmethod
+    def _spec(kind):
+        from repro.workloads.arrivals import ArrivalSpec
+
+        return ArrivalSpec(offered_tps=300.0, trace=kind, period_s=2.0)
+
+    @staticmethod
+    def _streams(seed):
+        from repro.sim.randomness import RandomStreams
+
+        streams = RandomStreams(seed).fork("fleet")
+        return streams.get("arrivals"), streams.get("arrivals.trace")
+
+    def _reference(self, kind, seed):
+        """Every candidate is a Timeout event; thinning draws uniform()."""
+        from repro.sim.process import Simulator, Timeout
+        from repro.sim.randomness import draw_index, weight_cdf
+
+        spec = self._spec(kind)
+        rng, trace_rng = self._streams(seed)
+        trace = spec.build_trace(self.UNTIL, trace_rng)
+        deterministic = kind == "deterministic"
+        peak = trace.peak_rate() if trace is not None else spec.offered_tps
+        cdf = weight_cdf([3.0, 1.0])
+        sim = Simulator()
+        accepted = []
+
+        def loop():
+            while sim.now < self.UNTIL:
+                gap = (1.0 / spec.offered_tps if deterministic
+                       else float(rng.exponential(1.0 / peak)))
+                yield Timeout(gap)
+                if sim.now >= self.UNTIL:
+                    break
+                if trace is not None:
+                    if float(rng.uniform()) * peak > trace.rate_at(sim.now):
+                        continue
+                accepted.append(sim.now)
+                draw_index(rng, cdf)    # the caller's per-arrival draw
+
+        sim.spawn(loop())
+        sim.run(until=self.UNTIL)
+        return accepted, rng, trace_rng
+
+    def _generated(self, kind, seed):
+        from repro.sim.process import At, Simulator
+        from repro.sim.randomness import draw_index, weight_cdf
+        from repro.workloads.arrivals import arrival_times
+
+        spec = self._spec(kind)
+        rng, trace_rng = self._streams(seed)
+        trace = spec.build_trace(self.UNTIL, trace_rng)
+        cdf = weight_cdf([3.0, 1.0])
+        sim = Simulator()
+        accepted = []
+
+        def loop():
+            for t in arrival_times(rng, trace, spec.offered_tps,
+                                   kind == "deterministic", sim.now,
+                                   self.UNTIL):
+                yield At(t)
+                assert sim.now == t
+                accepted.append(sim.now)
+                draw_index(rng, cdf)
+
+        sim.spawn(loop())
+        sim.run(until=self.UNTIL)
+        return accepted, rng, trace_rng
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("kind", ["poisson", "deterministic", "diurnal",
+                                      "burst", "flash-crowd"])
+    def test_accepted_times_and_streams_match_the_event_loop(self, kind,
+                                                             seed):
+        ref, ref_rng, ref_trace_rng = self._reference(kind, seed)
+        new, rng, trace_rng = self._generated(kind, seed)
+        assert len(ref) > 100
+        assert new == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (trace_rng.bit_generator.state
+                == ref_trace_rng.bit_generator.state)
+
+    def test_empty_window_yields_nothing(self):
+        from repro.workloads.arrivals import arrival_times
+
+        rng, _ = self._streams(0)
+        assert list(arrival_times(rng, None, 100.0, False, 2.0, 2.0)) == []
+
+
+class TestArrivalSpecShapes:
+    """Trace-shape fields are checked when the spec is built, for the
+    selected trace kind only, and the error names the field."""
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("diurnal", "period_s", 0.0),
+        ("diurnal", "amplitude", 1.5),
+        ("burst", "burst_multiplier", 0.5),
+        ("burst", "burst_fraction", 1.0),
+        ("burst", "burst_dwell_s", -1.0),
+        ("flash-crowd", "flash_at", 1.2),
+        ("flash-crowd", "flash_magnitude", 0.9),
+        ("flash-crowd", "flash_width", 0.0),
+    ])
+    def test_rejects_bad_shape_at_construction(self, kind, field, value):
+        from repro.workloads.arrivals import ArrivalSpec
+
+        with pytest.raises(WorkloadError, match=f"ArrivalSpec.{field}"):
+            ArrivalSpec(offered_tps=100.0, trace=kind, **{field: value})
+
+    def test_rejects_nan_amplitude(self):
+        from repro.workloads.arrivals import ArrivalSpec
+
+        with pytest.raises(WorkloadError, match="ArrivalSpec.amplitude"):
+            ArrivalSpec(offered_tps=100.0, trace="diurnal",
+                        amplitude=float("nan"))
+
+    def test_other_kinds_shapes_are_not_checked(self):
+        from repro.workloads.arrivals import ArrivalSpec
+
+        ArrivalSpec(offered_tps=100.0, trace="poisson", amplitude=1.5,
+                    flash_width=0.0, burst_fraction=2.0)
+        ArrivalSpec(offered_tps=100.0, trace="burst", amplitude=1.5)
