@@ -6,6 +6,13 @@ device, the experiments impose *cgroup* limits via systemd's
 ``BlockIOReadBandwidth`` / ``BlockIOWriteBandwidth`` (§6, Fig 5).  Both
 layers are token buckets; a request must clear the cgroup bucket and then
 the device bucket, so the effective cap is the minimum of the two.
+
+A transfer does not resume its process per bucket: a :class:`_Transfer`
+walks the chunks through both buckets by grant callbacks and wakes the
+process once, on the last chunk's device grant.  Each grant continues the
+walk through ``EventLoop.call_soon``, exactly where the process of a
+per-chunk ``take`` loop would have resumed, so a transfer fires the same
+events in the same order as that loop did, with the same floats.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from repro.errors import ConfigurationError, FaultInjectionError, TransientIOError
-from repro.sim.process import Simulator, Timeout
+from repro.sim.process import Simulator, Timeout, WaitEvent
 from repro.sim.resources import TokenBucket
 from repro.units import mb_per_s
 
@@ -55,16 +62,16 @@ class NvmeDevice:
 
     def set_read_limit(self, limit: Optional[float]) -> None:
         """Apply (or clear, with ``None``) a BlockIOReadBandwidth cap."""
-        if limit is not None and limit <= 0:
-            raise ConfigurationError("read limit must be positive or None")
+        if limit is not None and not limit > 0:
+            raise ConfigurationError(f"read limit must be positive or None, got limit={limit}")
         burst = (limit * 0.01) if limit else 0.0
         self._cgroup_read.burst = burst
         self._cgroup_read.set_rate(limit)
 
     def set_write_limit(self, limit: Optional[float]) -> None:
         """Apply (or clear, with ``None``) a BlockIOWriteBandwidth cap."""
-        if limit is not None and limit <= 0:
-            raise ConfigurationError("write limit must be positive or None")
+        if limit is not None and not limit > 0:
+            raise ConfigurationError(f"write limit must be positive or None, got limit={limit}")
         burst = (limit * 0.01) if limit else 0.0
         self._cgroup_write.burst = burst
         self._cgroup_write.set_rate(limit)
@@ -130,19 +137,19 @@ class NvmeDevice:
     #: Multi-GB transfers are split so that small requests (a
     #: transaction's page read, a log flush) are not head-of-line blocked
     #: behind a whole scan; in-flight interpolation in the buckets keeps
-    #: 1-second counter sampling smooth regardless of chunk size.
+    #: 1-second counter sampling smooth regardless of chunk size.  The
+    #: device bucket's burst (10 ms of bandwidth, 25 MB at 2500 MB/s) is
+    #: below one chunk, so the device throttles nearly every chunk even
+    #: under a tighter cgroup cap: the two waits add up and cannot be
+    #: merged into one without changing results.
     CHUNK_BYTES = 64 * 1024 * 1024
 
     def read(self, nbytes: float) -> Generator:
         """Generator: complete a read of *nbytes* through both buckets."""
-        if nbytes < 0:
-            raise ConfigurationError("negative read size")
-        remaining = nbytes
-        while remaining > 0:
-            chunk = min(self.CHUNK_BYTES, remaining)
-            yield from self._cgroup_read.consume(chunk)
-            yield from self._device_read.consume(chunk)
-            remaining -= chunk
+        if not nbytes >= 0:
+            raise ConfigurationError(f"negative read size: nbytes={nbytes}")
+        if nbytes > 0:
+            yield from self._transfer(self._cgroup_read, self._device_read, nbytes)
         return None
 
     def read_pages(self, num_pages: float, page_bytes: int) -> Generator:
@@ -165,21 +172,24 @@ class NvmeDevice:
         write-error window is active (no bandwidth is consumed by the
         failed attempt; the caller decides whether to retry).
         """
-        if nbytes < 0:
-            raise ConfigurationError("negative write size")
+        if not nbytes >= 0:
+            raise ConfigurationError(f"negative write size: nbytes={nbytes}")
         if self._write_error_predicate is not None and self._write_error_predicate():
             self.write_faults_injected += 1
             raise TransientIOError(
                 f"{self.name}: injected transient write error "
                 f"(#{self.write_faults_injected})"
             )
-        remaining = nbytes
-        while remaining > 0:
-            chunk = min(self.CHUNK_BYTES, remaining)
-            yield from self._cgroup_write.consume(chunk)
-            yield from self._device_write.consume(chunk)
-            remaining -= chunk
+        if nbytes > 0:
+            yield from self._transfer(self._cgroup_write, self._device_write, nbytes)
         return None
+
+    def _transfer(self, cgroup: TokenBucket, device: TokenBucket,
+                  nbytes: float) -> Generator:
+        """Generator: move *nbytes* > 0 through *cgroup*, then *device*."""
+        transfer = _Transfer(self._sim, cgroup, device, nbytes, self.CHUNK_BYTES)
+        yield transfer.done
+        device.total_consumed += transfer.chunk
 
     # -- iostat-style accounting ----------------------------------------------------
 
@@ -190,3 +200,63 @@ class NvmeDevice:
     @property
     def bytes_written(self) -> float:
         return self._device_write.served_bytes
+
+
+class _Transfer:
+    """One read or write, walked through a cgroup and a device bucket.
+
+    It replays, grant for grant, the per-chunk loop::
+
+        remaining = nbytes
+        while remaining > 0:
+            chunk = min(chunk_bytes, remaining)
+            yield from cgroup.take(chunk)
+            yield from device.take(chunk)
+            remaining -= chunk
+
+    Each chunk is queued on the cgroup bucket and then on the device
+    bucket through :meth:`TokenBucket.consume`.  A grant continues the walk
+    through ``call_soon``, where the loop's process would have resumed, and
+    credits the chunk to the bucket there; an uncapped cgroup passes the
+    chunk straight through, with no event, as ``take`` does.  The device
+    bucket always has a rate, so every chunk ends on a device grant.  The
+    last one triggers :attr:`done` instead, and the waiting process credits
+    that chunk when it resumes.
+    """
+
+    __slots__ = ("_loop", "_cgroup", "_device", "_chunk_bytes",
+                 "_remaining", "chunk", "done")
+
+    def __init__(self, sim: Simulator, cgroup: TokenBucket,
+                 device: TokenBucket, nbytes: float, chunk_bytes: float):
+        self._loop = sim.loop
+        self._cgroup = cgroup
+        self._device = device
+        self._chunk_bytes = chunk_bytes
+        self._remaining = nbytes
+        self.done: WaitEvent = sim.event()
+        self._next_chunk()
+
+    def _next_chunk(self) -> None:
+        chunk = self.chunk = min(self._chunk_bytes, self._remaining)
+        if self._cgroup.consume(chunk, self._cgroup_granted):
+            self._device.consume(chunk, self._device_granted)
+
+    def _cgroup_granted(self) -> None:
+        self._loop.call_soon(self._cgroup_served, None)
+
+    def _cgroup_served(self, _arg) -> None:
+        self._cgroup.total_consumed += self.chunk
+        self._device.consume(self.chunk, self._device_granted)
+
+    def _device_granted(self) -> None:
+        # ``remaining - chunk > 0`` exactly when ``remaining > chunk``.
+        if self._remaining > self.chunk:
+            self._loop.call_soon(self._device_served, None)
+        else:
+            self.done.trigger()
+
+    def _device_served(self, _arg) -> None:
+        self._device.total_consumed += self.chunk
+        self._remaining -= self.chunk
+        self._next_chunk()

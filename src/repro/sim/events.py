@@ -14,13 +14,27 @@ rebuilds and re-heapifies the live entries — once corpses outnumber half
 the heap.  :meth:`EventLoop.schedule_batch` amortizes bulk scheduling
 (N client start-ups, a tick train) into one heapify instead of N pushes
 where that is cheaper.
+
+Zero-delay wakes — a process start, a :class:`~repro.sim.process.WaitEvent`
+trigger, a token-bucket grant — are a large share of everything a
+simulating workload schedules, and most of them are the very next thing
+to fire.  :meth:`EventLoop.call_soon` keeps those off the heap: when no heap
+entry is due at the current instant, the wake goes on a FIFO *ready*
+deque, and :meth:`EventLoop.step` fires one ready item before it touches
+the heap.  This is exact.  A ready item is only appended while every heap
+entry lies strictly in the future, and anything scheduled at the current
+instant afterwards would sort behind it by sequence number anyway; when
+an entry *is* due now, ``call_soon`` falls back to ``schedule_at(now,
+...)``.  Either way items fire in the ``(time, seq)`` order of the plain
+heap, one per step.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -61,6 +75,13 @@ class Event:
         return f"Event(t={self.time:.6f}, {state})"
 
 
+def _fire_soon(event: Event) -> None:
+    """Heap stand-in for a :meth:`EventLoop.call_soon` item that found
+    another entry due at the same instant."""
+    callback, arg = event.payload
+    callback(arg)
+
+
 class EventLoop:
     """A deterministic discrete-event calendar.
 
@@ -75,6 +96,9 @@ class EventLoop:
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Event]] = []
+        # Zero-delay ``(callback, arg)`` items due at ``_now``; they fire
+        # before any heap entry (see the module docstring).
+        self._ready: Deque[Tuple[Callable[[Any], None], Any]] = deque()
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -87,25 +111,44 @@ class EventLoop:
         return self._now
 
     def __len__(self) -> int:
-        """Heap entries, including not-yet-collected cancelled ones."""
-        return len(self._heap)
+        """Pending entries: ready items plus heap entries, including
+        not-yet-collected cancelled ones."""
+        return len(self._ready) + len(self._heap)
 
     def schedule_at(self, time: float, callback: Callable[[Event], None], payload: Any = None) -> Event:
         """Schedule *callback* to fire at absolute simulation time *time*."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule event in the past: {time} < {self._now}")
+        if not time >= self._now:
+            raise SimulationError(f"cannot schedule event in the past: time={time} < now={self._now}")
         event = Event(time, callback, payload)
         event._loop = self
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        self._maybe_compact()
+        if self._cancelled > COMPACT_MIN_CANCELLED:
+            self._maybe_compact()
         return event
 
     def schedule_after(self, delay: float, callback: Callable[[Event], None], payload: Any = None) -> Event:
         """Schedule *callback* to fire *delay* seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self._now + delay, callback, payload)
+        if not delay >= 0:
+            raise SimulationError(f"negative delay: delay={delay}")
+        time = self._now + delay
+        event = Event(time, callback, payload)
+        event._loop = self
+        heapq.heappush(self._heap, (time, self._seq, event))
+        self._seq += 1
+        if self._cancelled > COMPACT_MIN_CANCELLED:
+            self._maybe_compact()
+        return event
+
+    def call_soon(self, callback: Callable[[Any], None], arg: Any = None) -> None:
+        """Call ``callback(arg)`` at the current instant, after everything
+        already due now — exactly where ``schedule_at(now, ...)`` would
+        fire it.  Not cancellable; one :meth:`step` per call."""
+        heap = self._heap
+        if not heap or heap[0][0] > self._now:
+            self._ready.append((callback, arg))
+        else:
+            self.schedule_at(self._now, _fire_soon, (callback, arg))
 
     def schedule_batch(
         self,
@@ -124,9 +167,9 @@ class EventLoop:
         if not events:
             return events
         earliest = min(event.time for event in events)
-        if earliest < self._now:
+        if not earliest >= self._now:
             raise SimulationError(
-                f"cannot schedule event in the past: {earliest} < {self._now}"
+                f"cannot schedule event in the past: time={earliest} < now={self._now}"
             )
         for event in events:
             event._loop = self
@@ -150,29 +193,41 @@ class EventLoop:
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
-        """Purge cancelled entries once they dominate the heap."""
+        """Purge cancelled entries once they dominate the heap.
+
+        The list is rebuilt in place: :meth:`run` holds a reference to it.
+        """
         if (
             self._cancelled > COMPACT_MIN_CANCELLED
             and self._cancelled > COMPACT_FRACTION * len(self._heap)
         ):
-            self._heap = [e for e in self._heap if not e[2].cancelled]
-            heapq.heapify(self._heap)
+            heap = self._heap
+            heap[:] = [e for e in heap if not e[2].cancelled]
+            heapq.heapify(heap)
             self._cancelled = 0
             self.compactions += 1
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+        if self._ready:
+            return self._now
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
             self._cancelled -= 1
-        if not self._heap:
+        if not heap:
             return None
-        return self._heap[0][0]
+        return heap[0][0]
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns ``False`` if none remain."""
-        while self._heap:
-            time, _, event = heapq.heappop(self._heap)
+        if self._ready:
+            callback, arg = self._ready.popleft()
+            callback(arg)
+            return True
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -191,13 +246,21 @@ class EventLoop:
         if self._running:
             raise SimulationError("event loop is not reentrant")
         self._running = True
+        heap = self._heap
+        ready = self._ready
+        pop = heapq.heappop
+        horizon = float("inf") if until is None else until
         try:
             while True:
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
+                if ready:
+                    if self._now > horizon:
+                        break
+                else:
+                    while heap and heap[0][2].cancelled:
+                        pop(heap)
+                        self._cancelled -= 1
+                    if not heap or heap[0][0] > horizon:
+                        break
                 self.step()
             if until is not None and until > self._now:
                 self._now = until

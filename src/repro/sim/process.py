@@ -25,8 +25,8 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"negative timeout: delay={delay}")
         self.delay = delay
 
 
@@ -35,8 +35,8 @@ class At:
 
     Unlike ``Timeout(time - now)``, the resume lands on *time* bit for
     bit: ``now + (time - now)`` is not always ``time`` in floating point.
-    A *time* before the current clock raises :class:`SimulationError`
-    when the process yields it.
+    A *time* before the current clock, or NaN, raises
+    :class:`SimulationError` when the process yields it.
     """
 
     __slots__ = ("time",)
@@ -74,8 +74,9 @@ class WaitEvent:
         self._triggered = True
         self._value = value
         waiters, self._waiters = self._waiters, []
+        call_soon = self._sim.loop.call_soon
         for proc in waiters:
-            self._sim.loop.schedule_after(0.0, lambda ev, p=proc: p._resume(value))
+            call_soon(proc._resume, value)
 
     def _add_waiter(self, proc: "Process") -> None:
         self._waiters.append(proc)
@@ -104,7 +105,7 @@ class Process:
         return self.error is not None
 
     def _start(self) -> None:
-        self._sim.loop.schedule_after(0.0, lambda ev: self._resume(None))
+        self._sim.loop.call_soon(self._resume, None)
 
     def _resume(self, value: Any) -> None:
         if not self.alive:
@@ -133,7 +134,7 @@ class Process:
             self._sim.loop.schedule_after(command.delay, lambda ev: self._resume(None))
         elif isinstance(command, WaitEvent):
             if command.triggered:
-                self._sim.loop.schedule_after(0.0, lambda ev: self._resume(command.value))
+                self._sim.loop.call_soon(self._resume, command.value)
             else:
                 command._add_waiter(self)
         elif isinstance(command, Process):
@@ -167,7 +168,7 @@ class Simulator:
 
     @property
     def now(self) -> float:
-        return self.loop.now
+        return self.loop._now
 
     def spawn(self, generator: Generator, name: str = "proc") -> Process:
         """Create and start a process from a generator."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Generator, List, Optional
+from typing import Callable, Deque, Generator, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.process import Simulator, Timeout, WaitEvent
@@ -99,6 +99,8 @@ class ProcessorSharingServer(WaterfillServer):
     which makes the model exact for egalitarian processor sharing.
     """
 
+    _finite_caps = False
+
     def __init__(self, sim: Simulator, capacity: float, name: str = "ps"):
         super().__init__(sim, capacity, name)
 
@@ -113,10 +115,13 @@ class ProcessorSharingServer(WaterfillServer):
 class TokenBucket:
     """A byte-rate limiter with optional burst capacity.
 
-    ``consume(nbytes)`` suspends the calling process until *nbytes* of
-    tokens have accumulated.  With ``rate=None`` the bucket is unlimited and
-    never blocks — this models an uncapped cgroup.
-    Requests are served FIFO, so a large request cannot be starved.
+    ``yield from take(nbytes)`` suspends the calling process until
+    *nbytes* of tokens have accumulated; :meth:`consume` is the callback
+    form underneath it, for callers that are not processes (a storage
+    transfer walks its chunks through two buckets by grant callbacks).
+    With ``rate=None`` the bucket is unlimited and never blocks — this
+    models an uncapped cgroup.  Requests are served FIFO, so a large
+    request cannot be starved.
     """
 
     def __init__(
@@ -126,8 +131,8 @@ class TokenBucket:
         burst: float = 0.0,
         name: str = "bucket",
     ):
-        if rate is not None and rate <= 0:
-            raise SimulationError(f"{name}: rate must be positive or None")
+        if rate is not None and not 0 < rate < math.inf:
+            raise SimulationError(f"{name}: rate must be positive and finite, or None; got rate={rate}")
         self._sim = sim
         self.rate = rate
         self.burst = max(0.0, burst)
@@ -144,8 +149,8 @@ class TokenBucket:
     def set_rate(self, rate: Optional[float]) -> None:
         """Change the cap at runtime (models rewriting the cgroup limit)."""
         self._refill()
-        if rate is not None and rate <= 0:
-            raise SimulationError(f"{self.name}: rate must be positive or None")
+        if rate is not None and not 0 < rate < math.inf:
+            raise SimulationError(f"{self.name}: rate must be positive and finite, or None; got rate={rate}")
         self.rate = rate
         if self._timer is not None:
             self._timer.cancel()
@@ -177,25 +182,37 @@ class TokenBucket:
                 total += nbytes * progress
         return total
 
-    def consume(self, nbytes: float) -> Generator:
-        """Generator: suspends until *nbytes* of budget is available.
+    def consume(self, nbytes: float, on_grant: Callable[[], None]) -> bool:
+        """Ask for *nbytes* of budget; the one way into the FIFO queue.
 
-        ``total_consumed`` is credited when the request is *served*, not
-        when it is enqueued, so per-interval rates derived from it never
-        exceed the configured cap.
+        Returns ``True`` when the request passes straight through — the
+        bucket is unlimited or *nbytes* is zero — in which case it is
+        already credited to ``total_consumed`` and *on_grant* is never
+        called.  Otherwise returns ``False`` and calls ``on_grant()`` at
+        the instant the budget is granted, possibly before returning.
+        The caller then credits ``total_consumed`` itself once it has
+        acted on the grant (:meth:`take` does so when its process
+        resumes), so per-interval rates derived from it never exceed the
+        configured cap.
         """
-        if nbytes < 0:
-            raise SimulationError(f"{self.name}: negative consume {nbytes}")
+        if not nbytes >= 0:
+            raise SimulationError(f"{self.name}: negative consume nbytes={nbytes}")
         if self.rate is None or nbytes == 0:
             self.total_consumed += nbytes
-            return None
+            return True
         # Apply the idle burst cap *before* enqueuing: once a request is
         # pending, accumulated tokens are uncapped (they'll be consumed),
         # so an idle period must not bank unlimited credit.
         self._refill()
-        gate = self._sim.event()
-        self._queue.append((nbytes, gate))
+        self._queue.append((nbytes, on_grant))
         self._kick()
+        return False
+
+    def take(self, nbytes: float) -> Generator:
+        """Generator: suspends until *nbytes* of budget is granted."""
+        gate = self._sim.event()
+        if self.consume(nbytes, gate.trigger):
+            return None
         yield gate
         self.total_consumed += nbytes
         return None
@@ -207,10 +224,10 @@ class TokenBucket:
     def _drain(self) -> None:
         self._refill()
         while self._queue:
-            nbytes, gate = self._queue[0]
+            nbytes, on_grant = self._queue[0]
             if self.rate is None:
                 self._queue.popleft()
-                gate.trigger()
+                on_grant()
                 continue
             # Tolerate float rounding: a sub-byte deficit (or one below a
             # relative epsilon) is considered satisfied — otherwise the
@@ -219,7 +236,7 @@ class TokenBucket:
             if self._tokens >= nbytes - max(1.0, nbytes * 1e-9):
                 self._tokens = max(0.0, self._tokens - nbytes)
                 self._queue.popleft()
-                gate.trigger()
+                on_grant()
                 continue
             deficit = nbytes - self._tokens
             # Clamp the delay to something the simulation clock can

@@ -1,11 +1,12 @@
 """Event tracing for debugging simulation runs.
 
 A :class:`Tracer` hooks an :class:`~repro.sim.events.EventLoop` and
-records every fired event (time, sequence, callback owner) into a bounded
-ring buffer, optionally filtered by a predicate.  Useful when a model
-change produces an unexpected throughput shift and the question is
-"what was the machine doing at t=3483.9?" — exactly the kind of question
-that located this project's token-bucket starvation bug.
+records every step, a heap event or a zero-delay ready item alike, as
+(time, callback owner) into a bounded ring buffer, optionally filtered
+by a predicate.  Useful when a model change produces an unexpected
+throughput shift and the question is "what was the machine doing at
+t=3483.9?" — exactly the kind of question that located this project's
+token-bucket starvation bug.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventLoop
+from repro.sim.events import EventLoop, _fire_soon
 
 
 @dataclass(frozen=True)
@@ -29,13 +30,23 @@ class TraceRecord:
         return f"[{self.time:12.6f}] {self.label}"
 
 
-def _describe(event: Event) -> str:
-    callback = event.callback
+def _describe(callback: Callable) -> str:
     owner = getattr(callback, "__self__", None)
     if owner is not None:
         name = getattr(owner, "name", owner.__class__.__name__)
         return f"{owner.__class__.__name__}({name}).{callback.__name__}"
     return getattr(callback, "__qualname__", repr(callback))
+
+
+def _head_callback(loop: EventLoop) -> Callable:
+    """The callback the loop's next step will call (the loop must have a
+    pending event): the first ready item's, else the heap head's."""
+    if loop._ready:
+        return loop._ready[0][0]
+    event = loop._heap[0][2]
+    if event.callback is _fire_soon:
+        return event.payload[0]
+    return event.callback
 
 
 class Tracer:
@@ -74,9 +85,8 @@ class Tracer:
             next_time = tracer._loop.peek_time()
             if next_time is None:
                 return tracer._original_step()
-            # Peek at the head event for labelling before it fires.
-            head = tracer._loop._heap[0][2]
-            label = _describe(head)
+            # Label the head item before it fires.
+            label = _describe(_head_callback(tracer._loop))
             fired = tracer._original_step()
             if fired:
                 tracer.total_fired += 1

@@ -5,12 +5,19 @@ jobs, but job *i* can never use more than its own cap ``m_i`` (a query with
 degree of parallelism 4 cannot occupy more than 4 cores even if 32 are
 idle).  The fair allocation is *water-filling*: start from an equal split
 and redistribute the share that capped jobs cannot use among the rest.
+
+:func:`waterfill` checks its inputs (caps and weights must be finite, so
+no share can come out NaN) and hands them to ``_fill``, which works on
+plain lists.  :class:`WaterfillServer` re-rates its jobs on every submit,
+completion and capacity change — about 50 active jobs per re-rate in
+HTAP — so it calls ``_fill`` directly: ``submit`` has already checked
+each cap.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
@@ -32,33 +39,41 @@ def waterfill(
     >>> waterfill(10.0, [1.0, 100.0, 100.0], weights=[1.0, 1.0, 1.0])
     [1.0, 4.5, 4.5]
     """
-    n = len(caps)
-    if n == 0:
-        return []
-    if capacity < 0:
-        raise SimulationError("negative capacity")
-    if weights is None:
-        weights = list(caps)
-    if len(weights) != n:
+    caps = list(caps)
+    if not capacity >= 0:
+        raise SimulationError(f"negative capacity: capacity={capacity}")
+    if not all(0 <= cap < math.inf for cap in caps):
+        raise SimulationError(f"caps must be non-negative and finite: caps={caps}")
+    weights = caps if weights is None else list(weights)
+    if len(weights) != len(caps):
         raise SimulationError("weights must match caps")
-    if any(w <= 0 for w in weights):
-        raise SimulationError("weights must be positive")
-    rates = [0.0] * n
+    if not all(0 < weight < math.inf for weight in weights):
+        raise SimulationError(f"weights must be positive and finite: weights={weights}")
+    return _fill(capacity, caps, weights)
+
+
+def _fill(capacity: float, caps: List[float], weights: List[float]) -> List[float]:
+    """:func:`waterfill` without the input checks.
+
+    Each round splits what is left among the unsaturated jobs by weight.
+    A job that is still active has rate ``0.0``, so its headroom is its
+    cap and its final rate is its share, bit for bit.
+    """
+    rates = [0.0] * len(caps)
     remaining = capacity
-    active = list(range(n))
+    active: Sequence[int] = range(len(caps))
     while active and remaining > 1e-15:
-        total_weight = sum(weights[i] for i in active)
-        shares = {i: remaining * weights[i] / total_weight for i in active}
-        saturated = [i for i in active if caps[i] - rates[i] <= shares[i]]
+        total_weight = sum([weights[i] for i in active])
+        shares = [remaining * weights[i] / total_weight for i in active]
+        saturated = [i for i, share in zip(active, shares) if caps[i] <= share]
         if not saturated:
-            for i in active:
-                rates[i] += shares[i]
+            for i, share in zip(active, shares):
+                rates[i] = share
             break
         for i in saturated:
-            remaining -= caps[i] - rates[i]
+            remaining -= caps[i]
             rates[i] = caps[i]
-        saturated_set = set(saturated)
-        active = [i for i in active if i not in saturated_set]
+        active = [i for i, share in zip(active, shares) if caps[i] > share]
     return rates
 
 
@@ -75,6 +90,10 @@ class WaterfillServer:
     so a change costs one event however many jobs are active.
     """
 
+    #: Rates follow the caps (as weights and ceilings), so a cap must be
+    #: finite; a subclass whose ``_shares`` ignores the caps may clear it.
+    _finite_caps = True
+
     class _Job:
         __slots__ = ("remaining", "cap", "gate", "rate")
 
@@ -85,13 +104,12 @@ class WaterfillServer:
             self.rate = 0.0
 
     def __init__(self, sim: Simulator, capacity: float, name: str = "waterfill"):
-        if capacity <= 0:
-            raise SimulationError(f"{name}: capacity must be positive")
+        if not 0 < capacity < math.inf:
+            raise SimulationError(f"{name}: capacity must be positive and finite, got capacity={capacity}")
         self._sim = sim
         self._capacity = capacity
         self.name = name
-        self._jobs: Dict[int, WaterfillServer._Job] = {}
-        self._next_id = 0
+        self._jobs: List[WaterfillServer._Job] = []   # in submit order
         self._last_update = 0.0
         self._timer: Optional[Event] = None
         self.total_work_done = 0.0
@@ -102,8 +120,8 @@ class WaterfillServer:
 
     def set_capacity(self, capacity: float) -> None:
         """Change total capacity at runtime (e.g. cpuset change)."""
-        if capacity <= 0:
-            raise SimulationError(f"{self.name}: capacity must be positive")
+        if not 0 < capacity < math.inf:
+            raise SimulationError(f"{self.name}: capacity must be positive and finite, got capacity={capacity}")
         self._advance()
         self._capacity = capacity
         self._reschedule()
@@ -114,7 +132,10 @@ class WaterfillServer:
 
     def active_weight(self) -> float:
         """Sum of the active jobs' rate caps (busy-core estimate)."""
-        return sum(min(job.cap, self._capacity) for job in self._jobs.values())
+        capacity = self._capacity
+        # ``min(cap, capacity)``, without a call per job.
+        return sum([capacity if capacity < job.cap else job.cap
+                    for job in self._jobs])
 
     def utilization(self, end_time: float) -> float:
         """Mean fraction of capacity in use over [0, end_time]."""
@@ -125,7 +146,8 @@ class WaterfillServer:
 
     def _shares(self, caps: List[float]) -> List[float]:
         """Rates for active jobs with rate caps *caps*, in submit order."""
-        return waterfill(self._capacity, caps)
+        # ``submit`` has checked every cap, so skip ``waterfill``'s checks.
+        return _fill(self._capacity, caps, caps)
 
     def _advance(self) -> None:
         """Drain the progress made at the cached rates since the last call."""
@@ -133,7 +155,7 @@ class WaterfillServer:
         elapsed = now - self._last_update
         if elapsed > 0 and self._jobs:
             total = self.total_work_done
-            for job in self._jobs.values():
+            for job in self._jobs:
                 done = job.rate * elapsed
                 left = job.remaining - done
                 job.remaining = left if left > 0.0 else 0.0
@@ -150,21 +172,24 @@ class WaterfillServer:
         if not jobs:
             return
         now = self._sim.now
-        rates = self._shares([job.cap for job in jobs.values()])
-        # Earliest finish time, first submitted on ties: the order a heap
-        # of per-job ``(time, seq)`` completion events would fire in.
-        first, first_time = -1, math.inf
-        for (job_id, job), rate in zip(jobs.items(), rates):
+        rates = self._shares([job.cap for job in jobs])
+        for job, rate in zip(jobs, rates):
             job.rate = rate
-            finish = now + job.remaining / rate if rate > 0 else math.inf
-            if first < 0 or finish < first_time:
-                first, first_time = job_id, finish
+        inf = math.inf
+        finishes = [now + job.remaining / rate if rate > 0 else inf
+                    for job, rate in zip(jobs, rates)]
+        # Earliest finish time, first submitted on ties (``index`` finds
+        # the first): the order a heap of per-job ``(time, seq)``
+        # completion events would fire in.
+        first_time = min(finishes)
+        first = jobs[finishes.index(first_time)]
         self._timer = self._sim.loop.schedule_at(first_time, self._complete, first)
 
     def _complete(self, timer: Event) -> None:
         self._timer = None
         self._advance()
-        job = self._jobs.pop(timer.payload)
+        job = timer.payload
+        self._jobs.remove(job)
         # Re-arm before waking the owner, so the next timer precedes the
         # owner's resumption among events at the same instant.
         self._reschedule()
@@ -172,16 +197,17 @@ class WaterfillServer:
 
     def submit(self, work: float, cap: float) -> Generator:
         """Generator: suspends until *work* is served at rate <= *cap*."""
-        if work < 0:
-            raise SimulationError(f"{self.name}: negative work {work}")
-        if cap <= 0:
-            raise SimulationError(f"{self.name}: cap must be positive")
+        if not work >= 0:
+            raise SimulationError(f"{self.name}: negative work, got work={work}")
+        if not cap > 0:
+            raise SimulationError(f"{self.name}: cap must be positive, got cap={cap}")
+        if cap == math.inf and self._finite_caps:
+            raise SimulationError(f"{self.name}: cap must be finite, got cap={cap}")
         if work == 0:
             return None
         self._advance()
         gate = self._sim.event()
-        self._jobs[self._next_id] = WaterfillServer._Job(work, cap, gate)
-        self._next_id += 1
+        self._jobs.append(WaterfillServer._Job(work, cap, gate))
         self._reschedule()
         yield gate
         return None

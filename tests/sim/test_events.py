@@ -1,9 +1,12 @@
 """Tests for the event loop."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import EventLoop
+from repro.sim.process import At, Simulator, Timeout
+from repro.sim.tracing import Tracer
 
 
 def test_events_fire_in_time_order():
@@ -194,3 +197,142 @@ class TestCompaction:
         event.cancel()
         assert fired == [1]
         assert loop.compactions == 0
+
+
+def test_nan_time_rejected():
+    loop = EventLoop()
+    with pytest.raises(SimulationError, match="time=nan"):
+        loop.schedule_at(float("nan"), lambda ev: None)
+    assert loop.now == 0.0 and len(loop) == 0
+
+
+def test_nan_delay_rejected():
+    loop = EventLoop()
+    with pytest.raises(SimulationError, match="delay=nan"):
+        loop.schedule_after(float("nan"), lambda ev: None)
+
+
+def test_nan_time_in_batch_rejected():
+    loop = EventLoop()
+    with pytest.raises(SimulationError, match="time=nan"):
+        loop.schedule_batch([(float("nan"), lambda ev: None, None)])
+
+
+class TestCallSoon:
+    def test_uses_ready_queue_when_nothing_is_due_now(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule_at(1.0, lambda ev: fired.append("later"))
+        loop.call_soon(fired.append, "soon")
+        assert len(loop._ready) == 1 and len(loop._heap) == 1
+        loop.run()
+        assert fired == ["soon", "later"]
+
+    def test_falls_back_to_heap_behind_an_entry_due_now(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule_at(0.0, lambda ev: fired.append("due"))
+        loop.call_soon(fired.append, "soon")
+        assert not loop._ready and len(loop._heap) == 2
+        loop.run()
+        assert fired == ["due", "soon"]
+
+    def test_one_step_per_item(self):
+        loop = EventLoop()
+        fired = []
+        loop.call_soon(fired.append, 1)
+        loop.call_soon(fired.append, 2)
+        assert loop.peek_time() == 0.0
+        assert loop.step() and fired == [1]
+        assert loop.step() and fired == [1, 2]
+        assert not loop.step()
+
+    def test_run_until_before_now_leaves_ready_items(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule_at(2.0, lambda ev: loop.call_soon(fired.append, "soon"))
+        loop.run(until=2.0)
+        assert fired == ["soon"]
+        loop.call_soon(fired.append, "again")
+        loop.run(until=1.0)
+        assert fired == ["soon"]
+        loop.run()
+        assert fired == ["soon", "again"]
+
+
+class _HeapOnlyLoop(EventLoop):
+    """Reference kernel: every zero-delay wake goes through the heap."""
+
+    def call_soon(self, callback, arg=None):
+        self.schedule_at(self._now, lambda ev: callback(arg))
+
+
+def _run_mix(loop_cls, scripts, horizon):
+    """Run one process per script on a fresh loop; return the log of
+    ``(time, process, op index)`` records and the number of steps.
+
+    Ops: ``("sleep", d)``, ``("at_now",)``, ``("wait", k)`` on shared
+    WaitEvent *k* (possibly already triggered), ``("trigger", k)``,
+    ``("post", d)`` a raw loop event, ``("cancel",)`` the last one
+    posted, and ``("spawn", n)`` *n* children through ``spawn_many``.
+    """
+    sim = Simulator()
+    sim.loop = loop_cls()
+    gates = [sim.event() for _ in range(3)]
+    posted = []
+    log = []
+
+    def child(name):
+        log.append((sim.now, name, 0))
+        yield Timeout(0.0)
+        log.append((sim.now, name, 1))
+
+    def proc(name, script):
+        for index, op in enumerate(script):
+            log.append((sim.now, name, index))
+            kind = op[0]
+            if kind == "sleep":
+                yield Timeout(op[1])
+            elif kind == "at_now":
+                yield At(sim.now)
+            elif kind == "wait":
+                yield gates[op[1]]
+            elif kind == "trigger":
+                if not gates[op[1]].triggered:
+                    gates[op[1]].trigger(index)
+            elif kind == "post":
+                posted.append(sim.loop.schedule_after(
+                    op[1], lambda ev, n=name, i=index: log.append((sim.now, n, -i))))
+            elif kind == "cancel":
+                if posted:
+                    posted.pop().cancel()
+            elif kind == "spawn":
+                sim.spawn_many([child(f"{name}.{k}") for k in range(op[1])],
+                               name=name)
+        log.append((sim.now, name, "end"))
+
+    for number, script in enumerate(scripts):
+        sim.spawn(proc(f"p{number}", script), name=f"p{number}")
+    with Tracer(sim.loop) as tracer:
+        sim.run(until=horizon)
+    return log, tracer.total_fired
+
+
+_OP = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from([0.0, 0.0, 0.5, 1.0, 0.25])),
+    st.tuples(st.just("at_now")),
+    st.tuples(st.just("wait"), st.integers(0, 2)),
+    st.tuples(st.just("trigger"), st.integers(0, 2)),
+    st.tuples(st.just("post"), st.sampled_from([0.0, 0.5, 1.0])),
+    st.tuples(st.just("cancel")),
+    st.tuples(st.just("spawn"), st.integers(1, 3)),
+)
+
+
+class TestReadyQueueMatchesHeap:
+    """The ready deque fires exactly what an all-heap kernel fires."""
+
+    @given(st.lists(st.lists(_OP, max_size=8), min_size=1, max_size=6))
+    def test_same_order_and_steps(self, scripts):
+        expected = _run_mix(_HeapOnlyLoop, scripts, horizon=10.0)
+        assert _run_mix(EventLoop, scripts, horizon=10.0) == expected

@@ -198,3 +198,21 @@ def test_at_in_the_past_raises():
     sim.spawn(proc())
     with pytest.raises(SimulationError):
         sim.run()
+
+
+def test_nan_timeout_raises():
+    with pytest.raises(SimulationError, match="delay=nan"):
+        Timeout(float("nan"))
+
+
+def test_at_nan_raises_and_leaves_the_clock():
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+        yield At(float("nan"))
+
+    sim.spawn(proc())
+    with pytest.raises(SimulationError, match="time=nan"):
+        sim.run()
+    assert sim.now == 1.0

@@ -132,7 +132,7 @@ class TestTokenBucket:
         sim = Simulator()
         bucket = TokenBucket(sim, rate=None)
         def worker():
-            yield from bucket.consume(1e12)
+            yield from bucket.take(1e12)
             return sim.now
         proc = sim.spawn(worker())
         sim.run()
@@ -143,7 +143,7 @@ class TestTokenBucket:
         bucket = TokenBucket(sim, rate=100.0)
         def worker():
             for _ in range(5):
-                yield from bucket.consume(100.0)
+                yield from bucket.take(100.0)
             return sim.now
         proc = sim.spawn(worker())
         sim.run()
@@ -153,7 +153,7 @@ class TestTokenBucket:
         sim = Simulator()
         bucket = TokenBucket(sim, rate=10.0, burst=100.0)
         def worker():
-            yield from bucket.consume(100.0)
+            yield from bucket.take(100.0)
             return sim.now
         proc = sim.spawn(worker())
         sim.run()
@@ -164,10 +164,10 @@ class TestTokenBucket:
         bucket = TokenBucket(sim, rate=10.0)
         order = []
         def big():
-            yield from bucket.consume(100.0)
+            yield from bucket.take(100.0)
             order.append("big")
         def small():
-            yield from bucket.consume(1.0)
+            yield from bucket.take(1.0)
             order.append("small")
         sim.spawn(big())
         sim.spawn(small())
@@ -179,7 +179,7 @@ class TestTokenBucket:
         bucket = TokenBucket(sim, rate=1.0)
         done = []
         def worker():
-            yield from bucket.consume(10.0)
+            yield from bucket.take(10.0)
             done.append(sim.now)
         def tighten():
             yield Timeout(0.0)
@@ -193,8 +193,8 @@ class TestTokenBucket:
         sim = Simulator()
         bucket = TokenBucket(sim, rate=1000.0)
         def worker():
-            yield from bucket.consume(10.0)
-            yield from bucket.consume(20.0)
+            yield from bucket.take(10.0)
+            yield from bucket.take(20.0)
         sim.spawn(worker())
         sim.run()
         assert bucket.total_consumed == pytest.approx(30.0)
@@ -203,3 +203,37 @@ class TestTokenBucket:
         sim = Simulator()
         with pytest.raises(SimulationError):
             TokenBucket(sim, rate=0.0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="rate="):
+            TokenBucket(sim, rate=rate)
+        with pytest.raises(SimulationError, match="rate="):
+            TokenBucket(sim, rate=1.0).set_rate(rate)
+
+    def test_nan_consume_rejected(self):
+        sim = Simulator()
+        bucket = TokenBucket(sim, rate=100.0)
+        def worker():
+            yield from bucket.take(float("nan"))
+        sim.spawn(worker())
+        with pytest.raises(SimulationError, match="nbytes=nan"):
+            sim.run(until=5.0)
+        assert sim.now == 0.0 and bucket.total_consumed == 0.0
+
+    def test_consume_passes_through_or_calls_back(self):
+        sim = Simulator()
+        granted = []
+        unlimited = TokenBucket(sim, rate=None)
+        assert unlimited.consume(10.0, lambda: granted.append("never"))
+        assert unlimited.total_consumed == 10.0
+        bucket = TokenBucket(sim, rate=10.0, burst=5.0)
+        # Within the burst: granted before consume returns.
+        assert not bucket.consume(5.0, lambda: granted.append(sim.now))
+        assert granted == [0.0]
+        assert not bucket.consume(10.0, lambda: granted.append(sim.now))
+        sim.run()
+        assert granted == [0.0, 1.0]
+        # The caller credits a granted request itself.
+        assert bucket.total_consumed == 0.0

@@ -81,3 +81,32 @@ def test_double_attach_rejected():
 def test_zero_capacity_rejected():
     with pytest.raises(SimulationError):
         Tracer(Simulator().loop, capacity=0)
+
+
+def test_ready_items_are_traced_one_per_step():
+    """Zero-delay wakes skip the heap; the tracer still records one
+    labelled record per step, including steps when only ready items
+    remain."""
+    sim = Simulator()
+    gate = sim.event()
+
+    def waiter():
+        yield gate
+        yield Timeout(1.0)
+
+    def trigger():
+        yield Timeout(0.5)
+        gate.trigger()
+
+    for _ in range(3):
+        sim.spawn(waiter())
+    sim.spawn(trigger())
+    steps = 0
+    with Tracer(sim.loop) as tracer:
+        while sim.loop.step():
+            steps += 1
+    assert steps == 11  # 4 starts, the trigger timeout, 3 wakes, 3 timeouts
+    assert tracer.total_fired == steps == len(tracer.records)
+    labels = [record.label for record in tracer.records]
+    assert labels[:4] == ["Process(proc)._resume"] * 4
+    assert labels.count("Process(proc)._resume") == 7  # starts and wakes

@@ -1,10 +1,14 @@
 """Tests for the water-filling capped-share server."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.process import Simulator, Timeout
-from repro.sim.waterfill import WaterfillServer, waterfill
+from repro.sim.resources import ProcessorSharingServer
+from repro.sim.waterfill import WaterfillServer, _fill, waterfill
 
 
 class TestWaterfillFunction:
@@ -51,6 +55,72 @@ class TestWaterfillFunction:
             assert sum(rates) == pytest.approx(capacity, rel=1e-6)
         else:
             assert rates == pytest.approx(caps)
+
+
+    @pytest.mark.parametrize("caps, weights", [
+        ([math.inf, 1.0], None),
+        ([math.nan, 1.0], None),
+        ([-1.0, 1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [math.inf, 1.0]),
+        ([1.0, 1.0], [math.nan, 1.0]),
+        ([1.0, 1.0], [0.0, 1.0]),
+    ])
+    def test_non_finite_or_non_positive_inputs_rejected(self, caps, weights):
+        with pytest.raises(SimulationError):
+            waterfill(4.0, caps, weights)
+
+    @pytest.mark.parametrize("capacity", [-1.0, math.nan])
+    def test_bad_capacity_rejected(self, capacity):
+        with pytest.raises(SimulationError, match="capacity="):
+            waterfill(capacity, [1.0])
+
+
+def _dict_waterfill(capacity, caps, weights=None):
+    """Reference: :func:`waterfill`'s fill as it was, on a dict of shares
+    and generator expressions."""
+    n = len(caps)
+    if n == 0:
+        return []
+    if weights is None:
+        weights = list(caps)
+    rates = [0.0] * n
+    remaining = capacity
+    active = list(range(n))
+    while active and remaining > 1e-15:
+        total_weight = sum(weights[i] for i in active)
+        shares = {i: remaining * weights[i] / total_weight for i in active}
+        saturated = [i for i in active if caps[i] - rates[i] <= shares[i]]
+        if not saturated:
+            for i in active:
+                rates[i] += shares[i]
+            break
+        for i in saturated:
+            remaining -= caps[i] - rates[i]
+            rates[i] = caps[i]
+        saturated_set = set(saturated)
+        active = [i for i in active if i not in saturated_set]
+    return rates
+
+
+class TestListFillMatchesDictFill:
+    """The list-based fill is hex-equal to the dict-based one."""
+
+    # Few distinct values force ties, equal shares and exact saturation.
+    _VALUES = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0, 32.0]),
+                        st.floats(min_value=0.01, max_value=64.0))
+
+    @given(st.one_of(st.sampled_from([1.0, 6.0, 32.0]),
+                     st.floats(min_value=0.0, max_value=256.0)),
+           st.lists(st.tuples(_VALUES, _VALUES), max_size=60),
+           st.booleans())
+    def test_hex_equal(self, capacity, jobs, weighted):
+        caps = [cap for cap, _ in jobs]
+        weights = [weight for _, weight in jobs] if weighted else caps
+        expected = _dict_waterfill(capacity, caps, weights)
+        assert [r.hex() for r in _fill(capacity, caps, weights)] == [
+            r.hex() for r in expected]
+        assert [r.hex() for r in waterfill(capacity, caps, weights)] == [
+            r.hex() for r in expected]
 
 
 class TestWaterfillServer:
@@ -349,3 +419,96 @@ class TestSingleTimer:
         assert sorted(finished) == list(range(50))
         assert changes == 100
         assert len(posted) == 99
+
+
+def _loop_pick(jobs, now):
+    """Reference: the earliest-finisher loop as it was (first submitted
+    job on ties)."""
+    first, first_time = None, math.inf
+    for job in jobs:
+        rate = job.rate
+        finish = now + job.remaining / rate if rate > 0 else math.inf
+        if first is None or finish < first_time:
+            first, first_time = job, finish
+    return first, first_time
+
+
+class TestEarliestFinisherPick:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0]),                # arrival
+                st.one_of(st.sampled_from([0.25, 1.0, 2.0]),
+                          st.floats(min_value=0.01, max_value=4.0)),  # work
+                st.sampled_from([1.0, 2.0, 4.0, 32.0]),          # cap
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.sampled_from([1.0, 3.0, 8.0]),
+    )
+    def test_timer_targets_the_loop_pick(self, jobs, capacity):
+        sim = Simulator()
+        server = WaterfillServer(sim, capacity)
+        reschedule = server._reschedule
+        checked = []
+
+        def checking():
+            reschedule()
+            if server._jobs:
+                job, time = _loop_pick(server._jobs, sim.now)
+                assert server._timer.payload is job
+                assert server._timer.time == time
+                checked.append(time)
+
+        server._reschedule = checking
+
+        def worker(delay, work, cap):
+            yield Timeout(delay)
+            yield from server.submit(work, cap=cap)
+
+        for delay, work, cap in jobs:
+            sim.spawn(worker(delay, work, cap))
+        sim.run()
+        assert checked and not server._jobs
+
+
+class TestSubmitRejectsBadInputs:
+    @pytest.mark.parametrize("work, cap, match", [
+        (math.nan, 1.0, "work=nan"),
+        (-1.0, 1.0, "work=-1.0"),
+        (1.0, math.nan, "cap=nan"),
+        (1.0, 0.0, "cap=0.0"),
+        (1.0, math.inf, "cap=inf"),
+    ])
+    def test_submit(self, work, cap, match):
+        sim = Simulator()
+        server = WaterfillServer(sim, capacity=4.0)
+
+        def worker():
+            yield from server.submit(work, cap=cap)
+
+        sim.spawn(worker())
+        with pytest.raises(SimulationError, match=match):
+            sim.run()
+        assert sim.now == 0.0 and not server._jobs
+
+    @pytest.mark.parametrize("capacity", [0.0, math.nan, math.inf])
+    def test_capacity(self, capacity):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="capacity="):
+            WaterfillServer(sim, capacity)
+        with pytest.raises(SimulationError, match="capacity="):
+            WaterfillServer(sim, 1.0).set_capacity(capacity)
+
+    def test_processor_sharing_keeps_its_infinite_cap(self):
+        sim = Simulator()
+        server = ProcessorSharingServer(sim, capacity=2.0)
+
+        def worker():
+            yield from server.submit(3.0)
+            return sim.now
+
+        proc = sim.spawn(worker())
+        sim.run()
+        assert proc.result == 1.5
