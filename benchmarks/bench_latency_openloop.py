@@ -29,8 +29,9 @@ def test_openloop_latency_knee(benchmark, emit):
                 governor=ResourceGovernor(), **workload.engine_parameters(),
             )
             result = OpenLoopDriver(workload, engine, offered_tps=rate).run(8.0)
-            rows.append((rate, result.completed_tps, result.percentile_ms(50),
-                         result.percentile_ms(99)))
+            rows.append((rate, result.completed_tps,
+                         result.latencies.percentile_ms(50),
+                         result.latencies.percentile_ms(99)))
         return rows
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(

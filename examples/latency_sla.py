@@ -39,7 +39,7 @@ def operating_curve(allocation: ResourceAllocation, label: str):
         workload = AsdbWorkload(2000, clients=1)
         engine = engine_for(allocation, workload)
         result = OpenLoopDriver(workload, engine, offered_tps=rate).run(10.0)
-        p99 = result.percentile_ms(99)
+        p99 = result.latencies.percentile_ms(99)
         ok = p99 <= SLO_P99_MS and result.dropped == 0
         if ok:
             best = rate

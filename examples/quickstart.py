@@ -24,7 +24,7 @@ def main() -> None:
                 ("SSD write MB/s", f"{full.ssd_write_mb:.0f}"),
                 ("DRAM read MB/s", f"{full.dram_read_mb:.0f}"),
                 ("p99 txn latency ms",
-                 f"{full.tracker.percentile_latency('txn', 99) * 1000:.1f}"),
+                 f"{full.p99_latency_ms:.1f}"),
             ],
             title="ASDB SF=2000, 32 cores, 40 MB LLC",
         )

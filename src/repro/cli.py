@@ -83,12 +83,6 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
         help="worker processes for independent experiments (default: 1, "
         "in-process; results are identical at any job count)",
     )
-    parser.add_argument(
-        "--chunk", type=_job_count, default=None, metavar="K",
-        help="grid points dispatched per worker round-trip (default: "
-        "auto, about four chunks per job; ignored at --jobs 1 and with "
-        "--timeout; never changes results)",
-    )
     _add_cache_options(parser)
 
 
@@ -572,7 +566,7 @@ def _cmd_sweep(args) -> int:
             return 2
         result = run_adaptive_sweep(
             configs, model, jobs=args.jobs, cache=cache, policy=policy,
-            chunk=args.chunk, budget_fraction=args.budget_fraction,
+            budget_fraction=args.budget_fraction,
         )
         measurements = result.measurements
         _print_cache_stats(cache)
@@ -592,10 +586,10 @@ def _cmd_sweep(args) -> int:
         return 0
     if policy.on_error == "raise":
         measurements = run_sweep(configs, jobs=args.jobs, cache=cache,
-                                 policy=policy, chunk=args.chunk)
+                                 policy=policy)
     else:
         report = run_sweep_report(configs, jobs=args.jobs, cache=cache,
-                                  policy=policy, chunk=args.chunk)
+                                  policy=policy)
         xs = [x for x, m in zip(xs, report.measurements) if m is not None]
         measurements = report.successes()
         for failure in report.failures:
@@ -753,8 +747,7 @@ def _cmd_faults(args) -> int:
     ]
     cache = _resolve_cache(args)
     policy = _resolve_policy(args)
-    report = run_supervised(configs, jobs=args.jobs, cache=cache, policy=policy,
-                            chunk=args.chunk)
+    report = run_supervised(configs, jobs=args.jobs, cache=cache, policy=policy)
     resumed = cache is not None and report.cache_hits > 0
     print(f"supervision: {report.summary()}")
     for failure in report.failures:

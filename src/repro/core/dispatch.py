@@ -1,24 +1,18 @@
-"""Delta-encoded, chunked task dispatch for the sweep runner.
+"""Chunked task dispatch for the sweep runner.
 
-Two IPC costs dominate a sweep of cheap grid points:
+One future per point means one executor round-trip per point; dozens of
+sub-second points serialize on the dispatch path.  A :class:`ChunkTask`
+batches consecutive points into one future and returns per-point
+outcomes, so the supervisor keeps per-point journal records, retry
+policy, and circuit-breaker accounting while paying one round-trip per
+*chunk*.  :func:`auto_chunk` sizes the chunks from the sweep's length
+and job count.
 
-* **Per-point pickling.**  Every :class:`ExperimentConfig` carries the
-  full machine spec, workload kwargs, and fault tuple, yet within one
-  sweep the points differ in one or two fields (the swept axis and maybe
-  the seed).  A :class:`ChunkTask` therefore ships the *base* config once
-  per chunk plus a per-point **delta** — the dict of fields that differ —
-  and workers rebuild each point with :func:`dataclasses.replace`.  The
-  rebuilt config is field-for-field equal to the original, so its
-  :func:`~repro.core.resultcache.config_digest` (and hence its cache
-  entry and journal key) is identical; ``tests/core/test_dispatch.py``
-  pins that equivalence.
-
-* **Per-point round-trips.**  One future per point means one executor
-  round-trip per point; dozens of sub-second points serialize on the
-  dispatch path.  A chunk batches consecutive points into one future and
-  returns per-point outcomes, so the supervisor keeps per-point journal
-  records, retry policy, and circuit-breaker accounting while paying one
-  round-trip per *chunk*.
+A chunk ships its configs whole.  Points of one sweep share most of
+their sub-objects (machine spec, workload kwargs, faults), and pickle's
+memo writes each shared object once per chunk.  Shipping per-point
+field deltas instead would shrink a chunk by about a fifth but double
+the time to build and pickle it.
 
 The worker entry points live here (module level, picklable) so both the
 runner and the warm pool's initializer can import them without cycles.
@@ -26,12 +20,11 @@ runner and the warm pool's initializer can import them without cycles.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.core.experiment import Experiment, ExperimentConfig
 from repro.core.measurement import Measurement
@@ -76,42 +69,17 @@ def run_attempt(config: ExperimentConfig, attempt: int, in_pool: bool) -> Measur
     return run_one(config)
 
 
-# -- delta encoding ------------------------------------------------------------
-
-
-def encode_delta(base: ExperimentConfig, config: ExperimentConfig) -> Dict[str, Any]:
-    """The fields of *config* that differ from *base*.
-
-    ``apply_delta(base, encode_delta(base, config)) == config`` for any
-    pair of configs — the delta is exact, not approximate.
-    """
-    delta: Dict[str, Any] = {}
-    for field in dataclasses.fields(ExperimentConfig):
-        value = getattr(config, field.name)
-        if value != getattr(base, field.name):
-            delta[field.name] = value
-    return delta
-
-
-def apply_delta(base: ExperimentConfig, delta: Dict[str, Any]) -> ExperimentConfig:
-    """Rebuild a full config from a base plus its delta."""
-    if not delta:
-        return base
-    return dataclasses.replace(base, **delta)
-
-
 @dataclass(frozen=True)
 class ChunkTask:
-    """One executor round-trip: a base config plus per-point work items.
+    """One executor round-trip: per-point work items.
 
-    ``entries`` holds ``(delta, attempt)`` pairs in dispatch order;
+    ``entries`` holds ``(config, attempt)`` pairs in dispatch order;
     ``in_pool`` tells the fault interpreter whether a crash fault should
     hard-exit the process (pool workers) or raise the in-process
     stand-in.
     """
 
-    base: ExperimentConfig
-    entries: Tuple[Tuple[Dict[str, Any], int], ...]
+    entries: Tuple[Tuple[ExperimentConfig, int], ...]
     in_pool: bool = True
 
     def __len__(self) -> int:
@@ -123,15 +91,10 @@ def make_chunk(
     attempts: Sequence[int],
     in_pool: bool = True,
 ) -> ChunkTask:
-    """Delta-encode a batch of configs against the first as base."""
+    """Pair a batch of configs with their attempt numbers."""
     if not configs:
         raise ValueError("empty chunk")
-    base = configs[0]
-    entries = tuple(
-        (encode_delta(base, config), attempt)
-        for config, attempt in zip(configs, attempts)
-    )
-    return ChunkTask(base=base, entries=entries, in_pool=in_pool)
+    return ChunkTask(entries=tuple(zip(configs, attempts)), in_pool=in_pool)
 
 
 def run_chunk(task: ChunkTask) -> List[Tuple[str, Any]]:
@@ -144,8 +107,7 @@ def run_chunk(task: ChunkTask) -> List[Tuple[str, Any]]:
     (that is the point of a crash).
     """
     outcomes: List[Tuple[str, Any]] = []
-    for delta, attempt in task.entries:
-        config = apply_delta(task.base, delta)
+    for config, attempt in task.entries:
         try:
             outcomes.append((OUTCOME_OK, run_attempt(config, attempt, task.in_pool)))
         except Exception as exc:  # noqa: BLE001 - reported per point
@@ -154,7 +116,7 @@ def run_chunk(task: ChunkTask) -> List[Tuple[str, Any]]:
 
 
 def auto_chunk(points: int, jobs: int) -> int:
-    """Default chunk size: ``points`` split into ``jobs * 4`` slices.
+    """Points per chunk: ``points`` split into ``jobs * 4`` slices.
 
     Mirrors :func:`multiprocessing.pool.Pool.map`'s heuristic — big
     enough to amortize a round-trip over several cheap points, small

@@ -127,7 +127,7 @@ class Measurement:
 
     def query_latency(self, name: str, percentile: float = 50.0) -> float:
         """Latency percentile of one completion class (e.g. "Q20")."""
-        return self.tracker.percentile_latency(name, percentile)
+        return self.tracker.latencies[name].percentile(percentile)
 
     def tail_latency_ms(self, percentile: float) -> float:
         """Latency percentile (ms) of the primary completion class.
@@ -139,9 +139,9 @@ class Measurement:
         """
         kind = "txn" if "txn" in self.tracker.latencies else "query"
         cdf = self.tracker.latencies.get(kind)
-        if cdf is None or len(cdf) == 0:
+        if cdf is None:
             return float("nan")
-        return cdf.percentile(percentile) * 1000.0
+        return cdf.percentile_ms(percentile)
 
     @property
     def p50_latency_ms(self) -> float:

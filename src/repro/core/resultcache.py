@@ -98,6 +98,12 @@ def canonical_json(value: Any) -> str:
     return json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
 
 
+def canonical_digest(value: Any) -> str:
+    """sha256 hex digest of :func:`canonical_json` — the determinism
+    fingerprint of fleet reports, fleet points and chaos runs."""
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+
+
 @functools.lru_cache(maxsize=1)
 def calibration_token() -> str:
     """A digest of everything that makes measurements comparable.
@@ -116,14 +122,13 @@ def calibration_token() -> str:
     import repro
     import repro.calibration as calibration
 
-    payload = canonical_json(
+    return canonical_digest(
         {
             "version": repro.__version__,
             "format": CACHE_FORMAT_VERSION,
             "calibration": calibration.constants(),
         }
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    )[:16]
 
 
 def config_digest(config: Any, token: str) -> str:

@@ -421,18 +421,14 @@ class _Supervisor:
         cache: Optional[ResultCache],
         policy: SupervisionPolicy,
         journal: Optional[SweepJournal],
-        chunk: Optional[int] = None,
     ):
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
-        if chunk is not None and chunk < 1:
-            raise ConfigurationError("chunk must be >= 1 (or None for auto)")
         self.configs = list(configs)
         self.jobs = jobs
         self.cache = cache
         self.policy = policy
         self.journal = journal
-        self.chunk = chunk
         self.report = SweepReport(measurements=[None] * len(self.configs))
         self._token = cache.token if cache is not None else None
         self._breaker = _CircuitBreaker(policy, jobs)
@@ -651,15 +647,13 @@ class _Supervisor:
     def _chunk_size(self, points: int) -> int:
         """Points per dispatched chunk for a sweep of *points*.
 
-        A per-attempt timeout forces chunk=1: the attempt clock is per
+        A per-attempt timeout forces chunks of one: the attempt clock is per
         grid point, and a chunk of N points sharing one future would
-        smear N budgets together.  An explicit chunk wins otherwise;
-        the default splits the sweep into about ``jobs * 4`` slices.
+        smear N budgets together.  Otherwise the sweep splits into about
+        ``jobs * 4`` slices (:func:`~repro.core.dispatch.auto_chunk`).
         """
         if self.policy.timeout is not None:
             return 1
-        if self.chunk is not None:
-            return self.chunk
         return dispatch.auto_chunk(points, self.jobs)
 
     @staticmethod
@@ -804,7 +798,7 @@ class _Supervisor:
 
         A busy worker cannot be interrupted portably, so any timeout
         kills the whole pool; innocent in-flight attempts are resubmitted
-        without burning an attempt.  A timeout policy forces chunk=1
+        without burning an attempt.  A timeout policy forces chunks of one
         (:meth:`_chunk_size`), so every running future maps to exactly
         one item and deadlines stay per grid point.
         """
@@ -840,7 +834,6 @@ def run_supervised(
     cache: Optional[ResultCache] = None,
     policy: Optional[SupervisionPolicy] = None,
     journal: Optional[SweepJournal] = None,
-    chunk: Optional[int] = None,
 ) -> SweepReport:
     """Run every config under supervision; never loses partial progress.
 
@@ -849,15 +842,15 @@ def run_supervised(
     successes short-circuit through the cache, failed points re-run with
     their global attempt number carried forward.
 
-    *chunk* sets how many grid points share one worker round-trip (None:
-    about four chunks per job; forced to 1 by a per-attempt timeout).
-    Chunking changes dispatch granularity only — results, ordering,
-    journal records, and retry accounting stay per grid point.
+    Parallel points share worker round-trips in chunks of about a
+    quarter of the sweep per job (one point each under a per-attempt
+    timeout).  Chunking changes dispatch granularity only — results,
+    ordering, journal records, and retry accounting stay per grid point.
     """
     policy = policy or SupervisionPolicy()
     if journal is None and cache is not None:
         journal = SweepJournal(cache.directory / JOURNAL_BASENAME)
-    return _Supervisor(configs, jobs, cache, policy, journal, chunk).run()
+    return _Supervisor(configs, jobs, cache, policy, journal).run()
 
 
 def run_configs(
@@ -866,7 +859,6 @@ def run_configs(
     cache: Optional[ResultCache] = None,
     policy: Optional[SupervisionPolicy] = None,
     journal: Optional[SweepJournal] = None,
-    chunk: Optional[int] = None,
 ) -> List[Measurement]:
     """Run every config, in order; returns a dense list or raises.
 
@@ -876,7 +868,7 @@ def run_configs(
     grid point.  Use :func:`run_supervised` to consume partial results.
     """
     report = run_supervised(configs, jobs=jobs, cache=cache, policy=policy,
-                            journal=journal, chunk=chunk)
+                            journal=journal)
     for index, measurement in enumerate(report.measurements):
         if measurement is None:
             raise SweepExecutionError(

@@ -254,7 +254,6 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional["ResultCache"] = None,
     policy: Optional["SupervisionPolicy"] = None,
-    chunk: Optional[int] = None,
 ) -> List[Measurement]:
     """Execute a sweep and return measurements in input order.
 
@@ -267,17 +266,14 @@ def run_sweep(
     approximate: every config carries its own seed and machine, so
     ``jobs=4`` returns bit-identical measurements to ``jobs=1``.
 
-    ``chunk`` sets how many grid points ride one worker round-trip
-    (None = about four chunks per job); it changes dispatch granularity
-    only, never results.  ``policy`` tunes supervision (timeouts, crash
-    retries); this function keeps the dense fail-fast contract, so a
-    policy hole raises :class:`~repro.errors.SweepExecutionError` — use
+    ``policy`` tunes supervision (timeouts, crash retries); this
+    function keeps the dense fail-fast contract, so a policy hole
+    raises :class:`~repro.errors.SweepExecutionError` — use
     :func:`run_sweep_report` to consume partial results.
     """
     from repro.core.runner import run_configs
 
-    return run_configs(configs, jobs=jobs, cache=cache, policy=policy,
-                       chunk=chunk)
+    return run_configs(configs, jobs=jobs, cache=cache, policy=policy)
 
 
 def run_sweep_report(
@@ -285,7 +281,6 @@ def run_sweep_report(
     jobs: int = 1,
     cache: Optional["ResultCache"] = None,
     policy: Optional["SupervisionPolicy"] = None,
-    chunk: Optional[int] = None,
 ) -> "SweepReport":
     """Execute a sweep under supervision and keep partial results.
 
@@ -297,5 +292,4 @@ def run_sweep_report(
     """
     from repro.core.runner import run_supervised
 
-    return run_supervised(configs, jobs=jobs, cache=cache, policy=policy,
-                          chunk=chunk)
+    return run_supervised(configs, jobs=jobs, cache=cache, policy=policy)

@@ -39,14 +39,13 @@ than statistical ones.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.backends.base import DEFAULT_BACKEND, make_backend
 from repro.core.knobs import ResourceAllocation
-from repro.core.resultcache import canonical_json
+from repro.core.resultcache import canonical_digest
 from repro.errors import (
     ChaosInvariantError,
     FaultInjectionError,
@@ -347,7 +346,7 @@ class _FleetRun:
             "read_latencies": list(self.read_latencies),
             "failovers": self.group.failovers,
         }
-        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        return canonical_digest(payload)
 
 
 @dataclass

@@ -13,11 +13,15 @@ past capacity.  The pieces:
 * **Tenants.**  Open-loop arrivals (:mod:`repro.workloads.arrivals`
   traces: diurnal / MMPP burst / flash-crowd) are attributed to weighted
   :class:`TenantSpec` tenants with priorities and p99 SLOs.
-* **Governance.**  A per-tenant token bucket (lazy sim-clock refill, the
-  :class:`~repro.fleet.hedging.RetryBudget` construction) caps governed
-  tenants at their purchased rate *before* the engines see the traffic —
-  layered on top of the per-engine RESOURCE_SEMAPHORE, which keeps
-  doing per-query memory admission underneath.
+* **Governance.**  Each governed tenant owns a
+  :class:`~repro.fleet.hedging.RetryBudget` (a token bucket refilled
+  lazily from the sim clock) refilling at its purchased rate; an
+  arrival that finds less than one token is refused *before* the
+  engines see the traffic — layered on top of the per-engine
+  RESOURCE_SEMAPHORE, which keeps doing per-query memory admission
+  underneath.  This is not :class:`repro.sim.resources.TokenBucket`,
+  which blocks a byte stream FIFO behind timers: an admission decision
+  neither waits nor moves bytes.
 * **Priority shedding.**  Each shard admits at most
   ``capacity_per_shard`` concurrent transactions, but the admission
   watermark *decreases with tenant priority number*: the most protected
@@ -49,16 +53,17 @@ data as a management view.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.backends import DEFAULT_ROUTER_BACKENDS, make_backend
 from repro.core.knobs import ResourceAllocation
+from repro.core.resultcache import canonical_digest
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.fleet.autoscale import Autoscaler, AutoscalePolicy
 from repro.fleet.health import FailoverController, HeartbeatMonitor
+from repro.fleet.hedging import RetryBudget
 from repro.fleet.replicas import Replica, ReplicaGroup
 from repro.hardware.machine import Machine, MachineSpec
 from repro.sim.process import At, Simulator, Timeout
@@ -99,17 +104,31 @@ class TenantSpec:
     #: Token-bucket refill rate (tps); 0 = ungoverned.  Governance caps a
     #: tenant at its purchased rate before the engines see the traffic.
     rate_limit_tps: float = 0.0
-    burst_allowance: float = 0.0    #: bucket capacity (default 2x rate)
+    #: Bucket capacity; 0 = ``max(1, 2x rate)``.  An admission spends one
+    #: whole token, so a capacity below 1 would never admit anything.
+    burst_allowance: float = 0.0
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ConfigurationError(f"tenant {self.name}: bad weight")
-        if self.priority < 0:
-            raise ConfigurationError(f"tenant {self.name}: bad priority")
-        if self.slo_p99_ms <= 0:
-            raise ConfigurationError(f"tenant {self.name}: bad SLO")
-        if self.rate_limit_tps < 0 or self.burst_allowance < 0:
-            raise ConfigurationError(f"tenant {self.name}: bad governance")
+        # Negated comparisons, so NaN fails every check.
+        if not 0 < self.weight < math.inf:
+            self._reject("weight", "finite and > 0", self.weight)
+        if not self.priority >= 0:
+            self._reject("priority", ">= 0", self.priority)
+        if not self.slo_p99_ms > 0:
+            self._reject("slo_p99_ms", "> 0", self.slo_p99_ms)
+        if not 0 <= self.rate_limit_tps < math.inf:
+            self._reject("rate_limit_tps", "finite and >= 0",
+                         self.rate_limit_tps)
+        if not (self.burst_allowance == 0
+                or 1 <= self.burst_allowance < math.inf):
+            self._reject("burst_allowance", "0 (the default) or finite "
+                         "and >= 1", self.burst_allowance)
+
+    def _reject(self, field_name: str, rule: str, value) -> None:
+        raise ConfigurationError(
+            f"TenantSpec.{field_name} must be {rule}, got {value!r} "
+            f"(tenant {self.name!r})"
+        )
 
 
 def default_tenants(count: int, slo_p99_ms: float = 250.0,
@@ -143,46 +162,28 @@ class FleetSpec:
     autoscale: Optional[AutoscalePolicy] = None
 
     def __post_init__(self):
-        if self.shards < 1:
-            raise ConfigurationError("a fleet needs at least one shard")
+        if not self.shards >= 1:
+            raise ConfigurationError(
+                f"FleetSpec.shards must be >= 1, got {self.shards!r}")
         if not self.backends:
             raise ConfigurationError("need at least one backend personality")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be positive")
-        if self.capacity_per_shard < 1:
-            raise ConfigurationError("capacity must be >= 1")
-        if self.replication < 1:
-            raise ConfigurationError("replication must be >= 1")
+        if not 0 < self.duration < math.inf:
+            raise ConfigurationError(
+                f"FleetSpec.duration must be finite and > 0, "
+                f"got {self.duration!r}")
+        if not self.capacity_per_shard >= 1:
+            raise ConfigurationError(
+                f"FleetSpec.capacity_per_shard must be >= 1, "
+                f"got {self.capacity_per_shard!r}")
+        if not self.replication >= 1:
+            raise ConfigurationError(
+                f"FleetSpec.replication must be >= 1, "
+                f"got {self.replication!r}")
         if not self.tenants:
             raise ConfigurationError("need at least one tenant")
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError("tenant names must be unique")
-
-
-class _TokenBucket:
-    """Per-tenant governance bucket: lazy sim-clock refill (the
-    :class:`~repro.fleet.hedging.RetryBudget` construction, one bucket
-    per governed tenant so rates differ)."""
-
-    def __init__(self, sim: Simulator, rate_tps: float, capacity: float):
-        self._sim = sim
-        self.rate = rate_tps
-        self.capacity = capacity
-        self._tokens = capacity
-        self._at = sim.now
-        self.denied = 0
-
-    def try_spend(self) -> bool:
-        now = self._sim.now
-        self._tokens = min(self.capacity,
-                           self._tokens + (now - self._at) * self.rate)
-        self._at = now
-        if self._tokens < 1.0:
-            self.denied += 1
-            return False
-        self._tokens -= 1.0
-        return True
 
 
 class _Shard:
@@ -398,11 +399,7 @@ class FleetReport:
         """Bit-exact fingerprint of everything a client observed —
         sha256 over the canonical payload, the chaos-style determinism
         handle."""
-        from repro.core.resultcache import canonical_json
-
-        return hashlib.sha256(
-            canonical_json(self.to_payload()).encode()
-        ).hexdigest()
+        return canonical_digest(self.to_payload())
 
 
 class FleetCluster:
@@ -426,12 +423,14 @@ class FleetCluster:
             self._build_shard(ready_at=0.0)
         # -- tenant state --------------------------------------------------------
         self._tenant_cdf = weight_cdf([t.weight for t in spec.tenants])
-        self._buckets: Dict[str, _TokenBucket] = {}
-        for tenant in spec.tenants:
-            if tenant.rate_limit_tps > 0:
-                capacity = tenant.burst_allowance or 2.0 * tenant.rate_limit_tps
-                self._buckets[tenant.name] = _TokenBucket(
-                    self.sim, tenant.rate_limit_tps, capacity)
+        # One budget per governed tenant, since their rates differ.
+        self._buckets: Dict[str, RetryBudget] = {
+            tenant.name: RetryBudget(
+                self.sim,
+                tenant.burst_allowance or max(1.0, 2.0 * tenant.rate_limit_tps),
+                refill_per_s=tenant.rate_limit_tps)
+            for tenant in spec.tenants if tenant.rate_limit_tps > 0
+        }
         self.arrivals = 0
         self.completed = 0
         self.latencies = Cdf()
@@ -703,11 +702,6 @@ class FleetCluster:
 
     # -- reporting ---------------------------------------------------------------
 
-    def _percentile(self, cdf: Cdf, p: float) -> float:
-        if len(cdf) == 0:
-            return float("nan")
-        return cdf.percentile(p) * 1000.0
-
     def _report(self) -> FleetReport:
         spec = self.spec
         tenants: Dict[str, TenantStats] = {}
@@ -722,9 +716,9 @@ class FleetCluster:
                 shed=self.tenant_sheds[tenant.name],
                 governed=self.tenant_governed[tenant.name],
                 goodput_tps=completed / spec.duration,
-                p50_ms=self._percentile(cdf, 50.0),
-                p99_ms=self._percentile(cdf, 99.0),
-                p999_ms=self._percentile(cdf, 99.9),
+                p50_ms=cdf.percentile_ms(50.0),
+                p99_ms=cdf.percentile_ms(99.0),
+                p999_ms=cdf.percentile_ms(99.9),
                 slo_p99_ms=tenant.slo_p99_ms,
                 first_shed_at=self.first_shed_at.get(tenant.name),
             )
@@ -754,9 +748,9 @@ class FleetCluster:
             completed=self.completed,
             shed=sum(self.tenant_sheds.values()),
             governed=sum(self.tenant_governed.values()),
-            p50_ms=self._percentile(self.latencies, 50.0),
-            p99_ms=self._percentile(self.latencies, 99.0),
-            p999_ms=self._percentile(self.latencies, 99.9),
+            p50_ms=self.latencies.percentile_ms(50.0),
+            p99_ms=self.latencies.percentile_ms(99.0),
+            p999_ms=self.latencies.percentile_ms(99.9),
             tenants=tenants,
             per_shard=per_shard,
             scaling=scaling,
@@ -780,11 +774,7 @@ def spec_digest(spec: FleetSpec, schedule: Sequence = ()) -> str:
     """Canonical digest of one fleet point (journal resume key).  The
     chaos schedule is folded in so faulted and fault-free runs of the
     same spec never collide."""
-    from repro.core.resultcache import canonical_json
-
-    return hashlib.sha256(canonical_json(
-        {"spec": spec, "schedule": list(schedule)}
-    ).encode()).hexdigest()
+    return canonical_digest({"spec": spec, "schedule": list(schedule)})
 
 
 @dataclass

@@ -25,6 +25,7 @@ it:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.errors import FaultInjectionError
@@ -42,13 +43,26 @@ class RetryBudget:
     Tokens refill continuously at ``refill_per_s`` up to ``capacity``;
     every hedge (or application-level retry) spends one.  Refill is
     computed lazily from the simulated clock, so the bucket is exact and
-    deterministic without a refill process.
+    deterministic without a refill process.  The level is stored only on
+    a spend; a denial leaves it alone.  In exact arithmetic that decides
+    every call as storing the refilled level on every call would; in
+    floating point the two differ only by the rounding of the refill
+    sum.  The fleet's per-tenant rate limits (:mod:`repro.fleet.cluster`)
+    use this bucket too.
     """
 
     def __init__(self, sim: Simulator, capacity: float = 16.0,
                  refill_per_s: float = 4.0):
-        if capacity <= 0 or refill_per_s < 0:
-            raise FaultInjectionError("bad retry budget parameters")
+        # A spend takes one whole token, so a capacity below 1 could
+        # never admit; negated comparisons also reject NaN.
+        if not 1 <= capacity < math.inf:
+            raise FaultInjectionError(
+                f"RetryBudget.capacity must be finite and >= 1, "
+                f"got {capacity!r}")
+        if not 0 <= refill_per_s < math.inf:
+            raise FaultInjectionError(
+                f"RetryBudget.refill_per_s must be finite and >= 0, "
+                f"got {refill_per_s!r}")
         self._sim = sim
         self.capacity = capacity
         self.refill_per_s = refill_per_s

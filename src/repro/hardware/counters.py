@@ -105,7 +105,10 @@ class CounterSeries:
 
         ``percentile(name, 99.9)`` is the p999 rollup: the Fig 4 CDF
         story extended into the far tail, where transient bandwidth
-        spikes live.  0.0 when the counter has no samples.
+        spikes live.  0.0 when the counter has no samples.  Not
+        :meth:`Cdf.percentile <repro.sim.stats.Cdf.percentile>`: it reads
+        the memoized rate array without building a sorted sample list,
+        and a silent counter reads as zero bandwidth, not as a gap.
         """
         arr = self._array(name)
         if arr is None:

@@ -122,6 +122,10 @@ class TokenBucket:
     With ``rate=None`` the bucket is unlimited and never blocks — this
     models an uncapped cgroup.  Requests are served FIFO, so a large
     request cannot be starved.
+
+    Not the same job as :class:`~repro.fleet.hedging.RetryBudget`, the
+    lazy admit/deny bucket: this one makes byte streams wait, keeps a
+    FIFO of timers, and interpolates ``served_bytes`` between grants.
     """
 
     def __init__(

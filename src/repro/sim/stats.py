@@ -161,6 +161,16 @@ class Cdf:
         self._ensure_sorted()
         return float(np.percentile(self._samples, p))
 
+    def percentile_ms(self, p: float) -> float:
+        """:meth:`percentile` of latency samples in seconds, as ms.
+
+        NaN when no sample was recorded (a fully-shed tenant, a failed
+        point): a tail report must show the gap, not fail on it.
+        """
+        if not self._samples:
+            return math.nan
+        return self.percentile(p) * 1000.0
+
     def fraction_below(self, value: float) -> float:
         if not self._samples:
             return 0.0

@@ -214,7 +214,6 @@ def run_adaptive_sweep(
     cache: Optional[ResultCache] = None,
     policy: Optional[SupervisionPolicy] = None,
     journal: Optional[SweepJournal] = None,
-    chunk: Optional[int] = None,
     budget_fraction: float = DEFAULT_BUDGET_FRACTION,
 ) -> AdaptiveSweepResult:
     """Run *configs* adaptively: simulate per the plan, predict the rest.
@@ -234,7 +233,7 @@ def run_adaptive_sweep(
         journal = SweepJournal(cache.directory / JOURNAL_BASENAME)
     simulated_configs = [configs[i] for i in plan.simulate]
     report = run_supervised(simulated_configs, jobs=jobs, cache=cache,
-                            policy=policy, journal=journal, chunk=chunk)
+                            policy=policy, journal=journal)
     measurements: List[Optional[Measurement]] = [None] * len(configs)
     for slot, index in enumerate(plan.simulate):
         measurement = report.measurements[slot]

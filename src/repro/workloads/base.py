@@ -48,9 +48,6 @@ class ThroughputTracker:
             return 0.0
         return self.count(kind) / elapsed_seconds
 
-    def percentile_latency(self, kind: str, p: float) -> float:
-        return self.latencies[kind].percentile(p)
-
 
 class Workload(abc.ABC):
     """Base class for all benchmark workloads."""

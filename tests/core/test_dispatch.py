@@ -1,10 +1,7 @@
-"""Tests for delta-encoded, chunked dispatch (ISSUE: perf tentpole).
+"""Tests for chunked dispatch.
 
-The load-bearing invariant: a worker that rebuilds a config from
-``base + delta`` must produce something *indistinguishable* from the
-original — field-for-field equal, same ``config_digest``, same cache
-entry, same journal key.  Chunking must change dispatch granularity
-only, never per-point outcomes.
+Chunking must change dispatch granularity only, never per-point
+outcomes.
 """
 
 import pytest
@@ -13,21 +10,13 @@ from repro.core.dispatch import (
     CHUNK_MAX,
     OUTCOME_ERROR,
     OUTCOME_OK,
-    apply_delta,
     auto_chunk,
-    encode_delta,
     make_chunk,
     run_chunk,
 )
 from repro.core.experiment import ExperimentConfig
-from repro.core.knobs import ResourceAllocation
-from repro.core.resultcache import calibration_token, config_digest
 from repro.errors import SimulatedWorkerCrash
 from repro.faults.spec import WorkerCrash
-
-
-def _digest(config):
-    return config_digest(config, calibration_token())
 
 
 def cfg(**overrides):
@@ -36,56 +25,13 @@ def cfg(**overrides):
     return ExperimentConfig(**defaults)
 
 
-class TestDeltaEncoding:
-    def test_round_trip_is_exact(self):
-        base = cfg()
-        point = cfg(
-            seed=7,
-            duration=0.25,
-            allocation=ResourceAllocation(logical_cores=8, llc_mb=10),
-            workload_kwargs={"clients": 3},
-            backend="columnstore-dss",
-        )
-        delta = encode_delta(base, point)
-        assert set(delta) == {
-            "seed", "duration", "allocation", "workload_kwargs", "backend",
-        }
-        assert apply_delta(base, delta) == point
-
-    def test_identical_config_has_empty_delta(self):
-        base = cfg()
-        assert encode_delta(base, cfg()) == {}
-        assert apply_delta(base, {}) is base
-
-    def test_rebuilt_config_hashes_to_same_digest(self):
-        """The cache/journal key of a delta-rebuilt config must match the
-        original's — otherwise chunked dispatch would silently fork the
-        result-cache namespace."""
-        base = cfg()
-        points = [
-            cfg(allocation=ResourceAllocation(logical_cores=c), seed=s)
-            for c in (2, 8, 32) for s in (0, 1)
-        ]
-        for point in points:
-            rebuilt = apply_delta(base, encode_delta(base, point))
-            assert _digest(rebuilt) == _digest(point)
-
-    def test_faults_survive_the_round_trip(self):
-        base = cfg()
-        point = cfg(faults=(WorkerCrash(attempts=1),))
-        rebuilt = apply_delta(base, encode_delta(base, point))
-        assert rebuilt.faults == point.faults
-        assert _digest(rebuilt) == _digest(point)
-
-
 class TestChunks:
-    def test_make_chunk_pairs_deltas_with_attempts(self):
+    def test_make_chunk_pairs_configs_with_attempts(self):
         configs = [cfg(seed=s) for s in (0, 1, 2)]
         task = make_chunk(configs, attempts=[0, 0, 3], in_pool=False)
         assert len(task) == 3
-        assert task.base is configs[0]
-        assert task.entries[0] == ({}, 0)
-        assert task.entries[2] == ({"seed": 2}, 3)
+        assert task.entries[0] == (configs[0], 0)
+        assert task.entries[2] == (configs[2], 3)
         assert not task.in_pool
 
     def test_make_chunk_rejects_empty(self):

@@ -132,7 +132,7 @@ class TestSection5Cache:
                 "asdb", 2000,
                 allocation=ResourceAllocation(llc_mb=llc_mb), duration=8,
             )
-            return m.tracker.percentile_latency("txn", 99)
+            return m.tracker.latencies["txn"].percentile(99)
         tail = {mb: p99(mb) for mb in (2, 10, 40)}
         assert tail[2] > 1.2 * tail[10]           # steep below the knee
         assert tail[10] < 1.2 * tail[40]          # flat beyond it

@@ -1,7 +1,6 @@
 """Property test: parallel chunked dispatch is bit-identical to serial.
 
-The tentpole's contract — warm pools, chunking, and delta encoding are
-*dispatch* changes only.  For every backend personality, a supervised
+Warm pools and chunking are *dispatch* changes only.  For every backend personality, a supervised
 sweep with faults firing and the circuit breaker armed must produce
 byte-for-byte the same pickled measurements at ``jobs=4`` (chunked, warm
 pool, real worker crashes) as at ``jobs=1`` (the historical in-process
@@ -13,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.core.dispatch import auto_chunk
 from repro.core.experiment import ExperimentConfig
 from repro.core.knobs import ResourceAllocation
 from repro.core.runner import SupervisionPolicy, run_supervised
@@ -22,16 +22,19 @@ BACKENDS = ("rowstore-oltp", "columnstore-dss", "elastic-serverless")
 
 
 def grid(backend):
-    """Four points: two core steps, a reseeded point, and a crasher."""
+    """Nine points: five core steps, a crasher, three reseeded points.
+
+    Nine points at jobs=2 dispatch in chunks of two, so points share a
+    worker round-trip on both sides of the solo crasher.
+    """
     base = dict(workload="asdb", scale_factor=2000, duration=0.3,
                 backend=backend)
     return [
-        ExperimentConfig(allocation=ResourceAllocation(logical_cores=8),
-                         **base),
-        ExperimentConfig(allocation=ResourceAllocation(logical_cores=32),
-                         **base),
-        ExperimentConfig(seed=5, **base),
+        *(ExperimentConfig(allocation=ResourceAllocation(logical_cores=c),
+                           **base)
+          for c in (2, 4, 8, 16, 32)),
         ExperimentConfig(faults=(WorkerCrash(attempts=1),), **base),
+        *(ExperimentConfig(seed=s, **base) for s in (5, 6, 7)),
     ]
 
 
@@ -61,9 +64,8 @@ def test_parallel_chunked_matches_serial_bit_for_bit(backend):
     )
     assert parallel == serial
 
-    # And again with chunking forced wider than the default, so multiple
-    # points genuinely share one worker round-trip.
-    chunked = fingerprints(
-        run_supervised(configs, jobs=2, chunk=2, policy=policy())
-    )
+    # And again at jobs=2, where multiple points genuinely share one
+    # worker round-trip.
+    assert auto_chunk(len(configs), 2) == 2
+    chunked = fingerprints(run_supervised(configs, jobs=2, policy=policy()))
     assert chunked == serial

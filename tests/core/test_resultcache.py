@@ -12,6 +12,7 @@ from repro.core.resultcache import (
     CACHE_DIR_ENV,
     ResultCache,
     calibration_token,
+    canonical_digest,
     canonical_json,
     config_digest,
     default_cache_dir,
@@ -50,6 +51,11 @@ class TestCanonicalJson:
     def test_unhashable_type_rejected(self):
         with pytest.raises(ConfigurationError):
             canonical_json(object())
+
+    def test_canonical_digest_is_sha256_of_canonical_json(self):
+        value = {"b": [1.5, None], "a": make_config()}
+        assert canonical_digest(value) == hashlib.sha256(
+            canonical_json(value).encode("utf-8")).hexdigest()
 
 
 class TestDigests:

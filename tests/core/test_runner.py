@@ -204,8 +204,8 @@ class TestPickleRoundTrip:
             tracker.record("txn", latency)
         clone = pickle.loads(pickle.dumps(tracker))
         assert clone.counts == tracker.counts
-        assert clone.percentile_latency("txn", 50.0) == \
-            tracker.percentile_latency("txn", 50.0)
+        assert clone.latencies["txn"].percentile(50.0) == \
+            tracker.latencies["txn"].percentile(50.0)
 
     def test_cdf_pickle_is_canonical(self):
         """Two Cdfs with the same samples in different insertion order

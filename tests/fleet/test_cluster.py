@@ -60,6 +60,23 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             TenantSpec(name="t", rate_limit_tps=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("weight", math.nan),
+        ("slo_p99_ms", math.nan),
+        ("rate_limit_tps", math.nan),
+        ("burst_allowance", math.nan),
+        ("burst_allowance", 0.5),
+    ])
+    def test_tenant_field_rejection_names_field_and_value(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=rf"TenantSpec\.{field} .*got {value!r}"):
+            TenantSpec(name="t", **{field: value})
+
+    def test_fleet_duration_rejects_nan(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"FleetSpec\.duration .*got nan"):
+            FleetSpec(duration=math.nan)
+
     def test_analytics_workload_rejected(self):
         with pytest.raises(ConfigurationError):
             run_fleet(FleetSpec(workload="tpch", scale_factor=1))
@@ -157,6 +174,18 @@ class TestGovernance:
         # Bucket: rate*duration plus the initial 2x-rate burst allowance.
         assert governed.completed <= 20.0 * spec.duration + 40.0 + 5
         assert free.completed > 2 * governed.completed
+
+    def test_sub_token_rate_still_admits_at_its_rate(self):
+        # Twice 0.4 tps is under the one token an admission spends; the
+        # bucket holds at least one, so the tenant gets its rate.
+        spec = FleetSpec(shards=2, duration=20.0,
+                         arrival=ArrivalSpec(offered_tps=50.0),
+                         tenants=(TenantSpec(name="slow",
+                                             rate_limit_tps=0.4),))
+        slow = run_fleet(spec).tenants["slow"]
+        admitted = slow.arrivals - slow.governed
+        assert 8 <= admitted <= 10
+        assert slow.completed == admitted
 
     def test_ungoverned_by_default(self):
         report = run_fleet(BASE)

@@ -1,5 +1,6 @@
 """Hedged reads, retry budgets, and brownout-aware shedding."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -67,6 +68,16 @@ class TestRetryBudget:
             RetryBudget(self.sim(), capacity=0.0)
         with pytest.raises(FaultInjectionError):
             RetryBudget(self.sim(), refill_per_s=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("capacity", math.nan),
+        ("capacity", 0.5),
+        ("refill_per_s", math.nan),
+    ])
+    def test_rejection_names_field_and_value(self, field, value):
+        with pytest.raises(FaultInjectionError,
+                           match=rf"RetryBudget\.{field} .*got {value!r}"):
+            RetryBudget(self.sim(), **{field: value})
 
     def test_spend_down_to_denial(self):
         budget = RetryBudget(self.sim(), capacity=2.0, refill_per_s=0.0)

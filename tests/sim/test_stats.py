@@ -1,5 +1,7 @@
 """Tests for statistics accumulators, including property-based checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +119,11 @@ class TestCdf:
     def test_empty_percentile_raises(self):
         with pytest.raises(SimulationError):
             Cdf().percentile(50)
+
+    def test_percentile_ms_scales_seconds_and_is_nan_when_empty(self):
+        cdf = Cdf([0.010, 0.020, 0.030])
+        assert cdf.percentile_ms(50) == cdf.percentile(50) * 1000.0 == 20.0
+        assert math.isnan(Cdf().percentile_ms(99))
 
     def test_series_monotone(self):
         cdf = Cdf(np.random.default_rng(0).normal(size=500).tolist())

@@ -45,7 +45,7 @@ class TestOpenLoopDriver:
             workload, engine = make_pair()
             driver = OpenLoopDriver(workload, engine, offered_tps=rate)
             result = driver.run(duration=10.0)
-            tails[rate] = result.percentile_ms(99)
+            tails[rate] = result.latencies.percentile_ms(99)
         assert tails[1700.0] > 2.0 * tails[100.0]
 
     def test_deterministic_arrivals(self):

@@ -28,12 +28,13 @@ class TestThroughputTracker:
         tracker = ThroughputTracker()
         for ms in range(1, 101):
             tracker.record("txn", ms / 1000.0)
-        assert tracker.percentile_latency("txn", 50) == pytest.approx(0.0505, rel=0.02)
-        assert tracker.percentile_latency("txn", 99) == pytest.approx(0.099, rel=0.02)
+        latencies = tracker.latencies["txn"]
+        assert latencies.percentile(50) == pytest.approx(0.0505, rel=0.02)
+        assert latencies.percentile(99) == pytest.approx(0.099, rel=0.02)
 
     def test_unknown_kind_percentile_raises(self):
         with pytest.raises(KeyError):
-            ThroughputTracker().percentile_latency("nope", 50)
+            ThroughputTracker().latencies["nope"].percentile(50)
 
 
 class TestWorkloadDefaults:
@@ -57,4 +58,4 @@ class TestWorkloadDefaults:
         per_type = [k for k in m.tracker.counts if k not in ("txn",)]
         assert len(per_type) >= 5   # several mix members completed
         for kind in per_type:
-            assert m.tracker.percentile_latency(kind, 50) > 0
+            assert m.tracker.latencies[kind].percentile(50) > 0
