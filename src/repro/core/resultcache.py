@@ -15,8 +15,14 @@ format version, and a digest of every constant in :mod:`repro.calibration`,
 so retuning the model (or changing the storage format) invalidates every
 stale entry automatically instead of silently serving measurements from an
 older model.  Entries are pickled :class:`~repro.core.measurement.Measurement`
-objects, written atomically (temp file + rename) so a crashed or
-concurrent run can never leave a torn entry behind.
+objects behind a sha256 header, written atomically (temp file + rename)
+so a crashed or concurrent run can never leave a torn entry behind.
+
+A warm read is the hot path of a figure regeneration, so it is kept to
+one key, one file read, one checksum and one ``pickle.loads``.  Latency
+samples (:class:`~repro.sim.stats.Cdf`) travel as float64 blobs and load
+into ``array("d")`` buffers, not one float object per sample, and a hit
+re-pickles to the bytes it was loaded from.
 """
 
 from __future__ import annotations
@@ -55,10 +61,33 @@ log = logging.getLogger(__name__)
 #: ``arrival`` spec (which enters the config digest — an open-loop point
 #: can never alias the closed-loop run of the same allocation); v5
 #: pickles lack the new attributes.
-CACHE_FORMAT_VERSION = 6
+#: v7: Cdf pickles its sorted samples as one float64 blob (loaded into
+#: an ``array("d")``) instead of a list of floats; v6 Cdf states have
+#: no blob.
+CACHE_FORMAT_VERSION = 7
 
 #: Environment variable consulted for a default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+
+#: Types rendered as themselves.  Matched by exact type, so subclasses
+#: (``np.float64``, int-valued enums) still take the general path below.
+_SCALAR_TYPES = frozenset({str, int, bool, type(None)})
+
+#: Per-class dataclass field names (None for non-dataclass types), so a
+#: key does not pay :func:`dataclasses.fields` for every nested value.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    try:
+        return _FIELD_NAMES[cls]
+    except KeyError:
+        pass
+    names = (tuple(f.name for f in dataclasses.fields(cls))
+             if dataclasses.is_dataclass(cls) else None)
+    _FIELD_NAMES[cls] = names
+    return names
 
 
 def _canonical(value: Any) -> Any:
@@ -68,15 +97,22 @@ def _canonical(value: Any) -> Any:
     different config types can never collide; enums carry their class and
     member name; floats go through ``repr`` (shortest round-trip form, so
     equal floats always render identically).
+
+    Every config field is reduced on every cache probe, so the common
+    exact types are dispatched first and each dataclass's field names
+    come from :data:`_FIELD_NAMES`.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return [type(value).__name__, fields]
+    cls = type(value)
+    if cls is float:
+        return repr(value)
+    if cls in _SCALAR_TYPES:
+        return value
+    names = _field_names(cls)
+    if names is not None:
+        return [cls.__name__,
+                {name: _canonical(getattr(value, name)) for name in names}]
     if isinstance(value, enum.Enum):
-        return [type(value).__name__, value.name]
+        return [cls.__name__, value.name]
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -86,16 +122,19 @@ def _canonical(value: Any) -> Any:
         return items
     if isinstance(value, float):
         return repr(value)
-    if value is None or isinstance(value, (bool, int, str)):
+    if isinstance(value, (bool, int, str)):
         return value
     raise ConfigurationError(
-        f"cannot build a stable cache key from {type(value).__name__!r}"
+        f"cannot build a stable cache key from {cls.__name__!r}"
     )
+
+
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(value: Any) -> str:
     """The canonical string rendering used for hashing."""
-    return json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(_canonical(value))
 
 
 def canonical_digest(value: Any) -> str:
@@ -153,6 +192,9 @@ class ResultCache:
     def __init__(self, directory: os.PathLike, token: Optional[str] = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # Entry paths as plain strings: a warm probe opens
+        # ``_prefix + digest + ".pkl"`` without building a Path.
+        self._prefix = os.path.join(self.directory, "")
         self.token = token if token is not None else calibration_token()
         self.hits = 0
         self.misses = 0
@@ -188,12 +230,10 @@ class ResultCache:
         doubles as the journal key), so probing by digest avoids a second
         canonical-JSON + sha256 pass per grid point.
         """
-        path = self.path_for_digest(digest)
+        path = f"{self._prefix}{digest}.pkl"
         try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            self.misses += 1
-            return None
+            with open(path, "rb", buffering=0) as handle:
+                blob = handle.read()
         except OSError:
             self.misses += 1
             return None
@@ -213,7 +253,7 @@ class ResultCache:
             # Corrupt bytes can raise almost anything (UnpicklingError,
             # EOFError, ValueError, AttributeError, ...); any of them
             # just means the entry is unusable.
-            self._quarantine(path, exc)
+            self._quarantine(Path(path), exc)
             self.misses += 1
             return None
         self.hits += 1
@@ -226,8 +266,8 @@ class ResultCache:
 
         One pass resolves every already-measured grid point before any
         worker process is touched, and hands the supervisor the digests
-        it needs anyway for journaling and delta-dispatch — no config is
-        ever hashed twice.
+        it needs anyway for journaling and dispatch — no config is ever
+        hashed twice.
 
         Robustness contract: one bad entry is *that key's* miss, never
         the batch's failure.  A corrupt or quarantined entry (torn

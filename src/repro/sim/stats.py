@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from array import array
+from typing import Iterable, List, MutableSequence, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,10 +124,18 @@ class Histogram:
 
 
 class Cdf:
-    """Exact empirical CDF over collected samples (Fig 4 series)."""
+    """Exact empirical CDF over collected samples (Fig 4 series).
+
+    Pickles as one float64 blob of the sorted samples.  Loading wraps
+    the blob in an ``array("d")`` (one copy, no per-sample float
+    objects), so a measurement read back from the result cache pays for
+    its samples only in bytes; every query below reads the array as it
+    would the list.
+    """
 
     def __init__(self, samples: Optional[Sequence[float]] = None):
-        self._samples: List[float] = sorted(samples) if samples else []
+        # A list while samples are collected, an array("d") once loaded.
+        self._samples: MutableSequence[float] = sorted(samples) if samples else []
         self._dirty = False
 
     def add(self, value: float) -> None:
@@ -135,18 +144,26 @@ class Cdf:
 
     def _ensure_sorted(self) -> None:
         if self._dirty:
+            if type(self._samples) is not list:
+                # array("d") has no sort(); only a loaded Cdf that was
+                # then added to gets here.
+                self._samples = self._samples.tolist()
             self._samples.sort()
             self._dirty = False
 
     def __getstate__(self) -> dict:
         # Pickle the canonical (sorted) form: measurements that cross
         # process-pool or result-cache boundaries serialize identically
-        # no matter what order samples arrived in.
+        # no matter what order samples arrived in.  A loaded Cdf writes
+        # the bytes it was loaded from.
         self._ensure_sorted()
-        return {"samples": self._samples}
+        samples = self._samples
+        if type(samples) is list:
+            samples = array("d", samples)
+        return {"blob": samples.tobytes()}
 
     def __setstate__(self, state: dict) -> None:
-        self._samples = list(state["samples"])
+        self._samples = array("d", state["blob"])
         self._dirty = False
 
     def __len__(self) -> int:
