@@ -34,13 +34,11 @@ try:
         bench_fleet_slo,
         bench_runner_scaling,
         bench_sim_kernel,
-        bench_whatif,
     )
 except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     import bench_fleet_slo
     import bench_runner_scaling
     import bench_sim_kernel
-    import bench_whatif
 
 
 def check_regression(fresh, baseline_path, allowed):
@@ -74,12 +72,6 @@ def main(argv=None):
         "--baseline-kernel", default=None,
         help="committed BENCH_sim_kernel.json to diff points_per_second "
         "against (omit to skip the cross-commit regression check)",
-    )
-    parser.add_argument(
-        "--whatif", nargs="?", const=_REPO_ROOT / "BENCH_whatif.json",
-        default=None, metavar="PATH",
-        help="also gate a fresh BENCH_whatif.json (adaptive speedup, "
-        "Q-error, serve latency); omit to skip",
     )
     parser.add_argument(
         "--fleet-slo", nargs="?", const=_REPO_ROOT / "BENCH_fleet_slo.json",
@@ -117,14 +109,6 @@ def main(argv=None):
     if args.baseline_kernel:
         allowed = float(os.environ.get("PERF_SMOKE_ALLOWED_REGRESSION", "0.8"))
         check_regression(kernel, args.baseline_kernel, allowed)
-    if args.whatif:
-        whatif = json.loads(Path(args.whatif).read_text())
-        bench_whatif.check_report(whatif)
-        print(f"perf-smoke: whatif adaptive {whatif['adaptive']['speedup']}x "
-              f"(floor 1.5x), predicted q-error "
-              f"{whatif['adaptive']['predicted_q_error_median']} "
-              f"(ceiling 1.15), serve p99 {whatif['serve']['p99_ms']}ms "
-              f"(limit 50ms)")
     if args.fleet_slo:
         fleet = json.loads(Path(args.fleet_slo).read_text())
         bench_fleet_slo.check_report(fleet)

@@ -17,9 +17,6 @@ Usage::
     python -m repro backends
     python -m repro figure table2
     python -m repro figure fig7
-    python -m repro corpus export --cache-dir ~/.cache/repro -o corpus.jsonl
-    python -m repro corpus train --cache-dir ~/.cache/repro --model-out m.json
-    python -m repro sweep llc asdb 2000 --adaptive --cache-dir ~/.cache/repro
     python -m repro whatif asdb 2000 --cores 4,8 --llc-mb 8 --cache-dir DIR
     python -m repro list
 
@@ -63,7 +60,7 @@ def _job_count(text: str) -> int:
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
-    """The result-cache knobs (also used alone by corpus/whatif)."""
+    """The result-cache knobs (also used alone by whatif)."""
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="directory for the content-addressed result cache "
@@ -207,22 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("workload", choices=sorted(WORKLOADS))
     sweep.add_argument("scale_factor", type=int)
     sweep.add_argument("--duration-scale", type=float, default=0.5)
-    sweep.add_argument(
-        "--adaptive", action="store_true",
-        help="surrogate-guided sweep: simulate only anchor, knee-adjacent "
-        "and high-uncertainty grid points; backfill the rest from the "
-        "surrogate with source=predicted provenance (needs --model or a "
-        "cache with at least 2 harvestable entries to train from)",
-    )
-    sweep.add_argument(
-        "--model", default=None, metavar="PATH",
-        help="serialized surrogate model for --adaptive (default: train "
-        "one from the result cache)",
-    )
-    sweep.add_argument(
-        "--budget-fraction", type=float, default=0.4, metavar="F",
-        help="fraction of the grid --adaptive may simulate (default: 0.4)",
-    )
     _add_backend_options(sweep)
     _add_runner_options(sweep)
     _add_supervision_options(sweep)
@@ -415,35 +396,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "backends", help="list engine personalities and their profiles"
     )
 
-    corpus = sub.add_parser(
-        "corpus",
-        help="harvest a surrogate training corpus from the result cache",
-        description="Walks the content-addressed result cache, turning "
-        "each simulated entry into a (features -> metrics) training pair "
-        "('export' writes them as JSON-lines; 'train' fits the ridge+kNN "
-        "surrogate and prints its leave-one-out Q-error report).  Faulted "
-        "and predicted entries are skipped; quarantined .corrupt-* files "
-        "are counted, not fatal.",
-    )
-    corpus.add_argument("action", choices=("export", "train"))
-    corpus.add_argument("-o", "--output", default=None, metavar="PATH",
-                        help="corpus JSONL destination for 'export' "
-                        "(default: corpus.jsonl)")
-    corpus.add_argument("--model-out", default=None, metavar="PATH",
-                        help="also serialize the fitted model ('train')")
-    corpus.add_argument("--include-faulted", action="store_true",
-                        help="keep fault-injected entries (excluded by "
-                        "default: they measure recovery, not response)")
-    _add_cache_options(corpus)
-
     whatif = sub.add_parser(
         "whatif",
-        help="answer sizing queries from surrogate-or-cache interactively",
+        help="answer sizing queries from the result cache or simulation",
         description="Answers 'what would throughput be at these knobs?' "
-        "without a sweep: cache hit if the exact config was measured, "
-        "surrogate prediction when the model is confident, simulation "
-        "fallback otherwise.  --cores/--llc-mb accept comma lists; the "
-        "cross product is answered concurrently through the async API.",
+        "for the cross product of the --cores and --llc-mb comma lists: "
+        "a cache hit where the exact config was measured, a simulation "
+        "(stored in the cache) otherwise.",
     )
     whatif.add_argument("workload", choices=sorted(WORKLOADS))
     whatif.add_argument("scale_factor", type=int)
@@ -454,16 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     whatif.add_argument("--duration", type=float, default=None,
                         help="simulated seconds (default: per-workload)")
     whatif.add_argument("--seed", type=int, default=0)
-    whatif.add_argument("--model", default=None, metavar="PATH",
-                        help="serialized surrogate model (default: train "
-                        "from the result cache when possible)")
-    whatif.add_argument("--uncertainty-threshold", type=float, default=0.35,
-                        metavar="U",
-                        help="surrogate answers above this uncertainty "
-                        "fall through to simulation (default: 0.35)")
-    whatif.add_argument("--no-simulation", action="store_true",
-                        help="refuse rather than simulate when neither "
-                        "cache nor surrogate can answer")
     _add_cache_options(whatif)
 
     figure = sub.add_parser("figure", help="regenerate a paper artifact")
@@ -555,35 +504,6 @@ def _cmd_sweep(args) -> int:
         x_label = "llc_mb"
     cache = _resolve_cache(args)
     policy = _resolve_policy(args)
-    if args.adaptive:
-        from repro.surrogate import run_adaptive_sweep
-
-        model = _resolve_surrogate_model(args, cache)
-        if model is None:
-            print("sweep --adaptive: no surrogate available (pass --model, "
-                  "or --cache-dir with at least 2 harvestable entries)",
-                  file=sys.stderr)
-            return 2
-        result = run_adaptive_sweep(
-            configs, model, jobs=args.jobs, cache=cache, policy=policy,
-            budget_fraction=args.budget_fraction,
-        )
-        measurements = result.measurements
-        _print_cache_stats(cache)
-        print(format_series(
-            x_label, xs,
-            {
-                "perf": [m.primary_metric for m in measurements],
-                "mpki": [m.mpki_model for m in measurements],
-                "ssd_rd_MB/s": [m.ssd_read_mb for m in measurements],
-            },
-            title=f"{args.workload} SF={args.scale_factor}: {args.axis} "
-            "sweep (adaptive)",
-        ))
-        marks = "".join("P" if m.is_predicted else "S" for m in measurements)
-        print(f"provenance: {marks} (S=simulated, P=predicted)")
-        print(f"adaptive-sweep: {result.summary()}")
-        return 0
     if policy.on_error == "raise":
         measurements = run_sweep(configs, jobs=args.jobs, cache=cache,
                                  policy=policy)
@@ -610,69 +530,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _resolve_surrogate_model(args, cache):
-    """A fitted surrogate from --model, else trained from the cache."""
-    from repro.surrogate import SurrogateModel, harvest
-
-    if getattr(args, "model", None):
-        return SurrogateModel.load(args.model)
-    if cache is None:
-        return None
-    corpus = harvest(cache)
-    if len(corpus) < 2:
-        return None
-    model = SurrogateModel().fit(corpus)
-    print(f"surrogate: trained on {model.trained_on} cached entries "
-          f"({corpus.stats.summary()})")
-    return model
-
-
-def _cmd_corpus(args) -> int:
-    """Corpus harvest/export/train (greppable: ``corpus-export:`` /
-    ``corpus-train:`` markers; the CI whatif job asserts on them)."""
-    from repro.surrogate import SurrogateModel, harvest
-
-    cache = _resolve_cache(args)
-    if cache is None:
-        print("corpus: a result cache is required (--cache-dir or "
-              "$REPRO_CACHE_DIR)", file=sys.stderr)
-        return 2
-    corpus = harvest(cache, include_faulted=args.include_faulted)
-    print(f"corpus: {corpus.stats.summary()}")
-    if args.action == "export":
-        path = corpus.save(args.output or "corpus.jsonl")
-        print(f"corpus-export: {len(corpus)} entries -> {path}")
-        return 0
-    if len(corpus) < 2:
-        print("corpus train: need at least 2 harvested entries, got "
-              f"{len(corpus)}", file=sys.stderr)
-        return 1
-    model = SurrogateModel().fit(corpus)
-    report = model.q_error_report(corpus)
-    print(format_table(
-        ["target", "q50", "q90", "qmax"],
-        [(name, f"{s['median']:.3f}", f"{s['p90']:.3f}", f"{s['max']:.3f}")
-         for name, s in report.items()],
-        title=f"Leave-one-out Q-error ({model.trained_on} entries)",
-    ))
-    top = model.coefficient_report()[:5]
-    print("top coefficients: "
-          + ", ".join(f"{name}={weight:.3f}" for name, weight in top))
-    if args.model_out:
-        print(f"model-saved: {model.save(args.model_out)}")
-    print(f"corpus-train: {model.trained_on} entries, overall median "
-          f"q-error {report['overall']['median']:.3f}")
-    return 0
-
-
 def _cmd_whatif(args) -> int:
-    """Interactive sizing answers (greppable: ``whatif:`` per answer and
-    a ``whatif-complete:`` source tally)."""
-    import asyncio
-
+    """Sizing answers (greppable: ``whatif:`` per point and a
+    ``whatif-complete:`` cache/simulated tally)."""
     from repro.core.experiment import ExperimentConfig
     from repro.errors import ConfigurationError
-    from repro.surrogate import WhatIfServer
 
     try:
         cores_axis = [int(c) for c in args.cores.split(",") if c.strip()]
@@ -681,33 +543,33 @@ def _cmd_whatif(args) -> int:
         print(f"invalid --cores/--llc-mb list: {args.cores!r} / "
               f"{args.llc_mb!r}", file=sys.stderr)
         return 2
-    cache = _resolve_cache(args)
-    model = _resolve_surrogate_model(args, cache)
     duration = args.duration or duration_for(args.workload, args.scale_factor)
-    configs = [
-        ExperimentConfig(
-            workload=args.workload, scale_factor=args.scale_factor,
-            allocation=ResourceAllocation(
-                logical_cores=cores, llc_mb=llc, max_dop=args.maxdop,
-                grant_percent=args.grant_percent,
-            ),
-            duration=duration, seed=args.seed,
-        )
-        for cores in cores_axis for llc in llc_axis
-    ]
     try:
-        server = WhatIfServer(
-            model=model, cache=cache,
-            uncertainty_threshold=args.uncertainty_threshold,
-            allow_simulation=not args.no_simulation,
-        )
-        answers = asyncio.run(server.answer_many_async(configs))
+        configs = [
+            ExperimentConfig(
+                workload=args.workload, scale_factor=args.scale_factor,
+                allocation=ResourceAllocation(
+                    logical_cores=cores, llc_mb=llc, max_dop=args.maxdop,
+                    grant_percent=args.grant_percent,
+                ),
+                duration=duration, seed=args.seed,
+            )
+            for cores in cores_axis for llc in llc_axis
+        ]
     except ConfigurationError as exc:
         print(f"whatif: {exc}", file=sys.stderr)
         return 1
-    for answer in answers:
-        print("whatif: " + answer.describe())
-    print(f"whatif-complete: {server.stats.summary()}")
+    cache = _resolve_cache(args)
+    measurements = run_sweep(configs, cache=cache)
+    for m in measurements:
+        alloc = m.allocation
+        print(f"whatif: {m.workload} sf={m.scale_factor} "
+              f"cores={alloc.logical_cores} llc={alloc.llc_mb}MB "
+              f"grant={alloc.grant_percent:g}%: {m.primary_metric:.3f} "
+              f"(mpki {m.mpki_model:.2f})")
+    hits = cache.hits if cache is not None else 0
+    print(f"whatif-complete: {hits} cache, "
+          f"{len(measurements) - hits} simulated")
     return 0
 
 
@@ -1185,7 +1047,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": _cmd_chaos,
         "fleet": _cmd_fleet,
         "backends": _cmd_backends,
-        "corpus": _cmd_corpus,
         "whatif": _cmd_whatif,
         "figure": _cmd_figure,
         "report": _cmd_report,

@@ -9,6 +9,7 @@ and plan signatures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -72,6 +73,18 @@ class ExperimentConfig:
     router: Optional[str] = None
     router_backends: Tuple[str, ...] = ()
     arrival: Optional[ArrivalSpec] = None
+
+    def __post_init__(self):
+        # A NaN duration never lets the event loop reach its horizon and
+        # a negative one silently measures nothing, so both fail here.
+        if not 0 < self.duration < math.inf:
+            raise ConfigurationError(
+                "ExperimentConfig.duration must be finite and > 0, "
+                f"got {self.duration!r}")
+        if not self.scale_factor >= 1:
+            raise ConfigurationError(
+                "ExperimentConfig.scale_factor must be >= 1, "
+                f"got {self.scale_factor!r}")
 
     @property
     def routed(self) -> bool:

@@ -174,16 +174,6 @@ class SweepSeries:
         fleet autoscaling and shedding exist to protect."""
         return [m.p999_latency_ms for m in self.measurements]
 
-    @property
-    def predicted_mask(self) -> List[bool]:
-        """Per-point surrogate provenance: True where the measurement was
-        predicted rather than simulated — plots mark these hollow."""
-        return [m.is_predicted for m in self.measurements]
-
-    @property
-    def predicted_count(self) -> int:
-        return sum(self.predicted_mask)
-
 
 def _sweep_series(
     workload: str, scale_factor: int,

@@ -31,12 +31,14 @@ chaos-schedule   faults.chaos                seed, scenario, episode list
 chaos-episode    faults.chaos                one episode's kind/at/duration
 failover         faults.chaos                promotion epoch + window
 chaos-report     faults.chaos                invariant verdicts + digest
-surrogate        surrogate.planner           predicted points: source,
-                                             uncertainty, primary metric
 fleet-traffic    fleet.cluster sweeps        fleet point: spec digest +
                                              full FleetReport payload
                                              (replayed on resume)
 ===============  ==========================  =================================
+
+Lines of a kind that nothing writes any more (older journals carry
+prediction events of the retired adaptive sweep planner) still load and
+come back from :meth:`events`.
 
 Attempt records are digest-keyed and drive resume; event lines are
 observational — except ``fleet-traffic``, whose payload is complete

@@ -44,23 +44,37 @@ class ResourceAllocation:
     on_grant_timeout: str = ON_TIMEOUT_DEGRADE
 
     def __post_init__(self):
-        if self.logical_cores < 1:
-            raise ConfigurationError("need at least one core")
-        if self.llc_mb < 2:
-            raise ConfigurationError("CAT granularity is 2 MB total")
-        if self.max_dop is not None and self.max_dop < 1:
-            raise ConfigurationError("max_dop must be >= 1")
+        # Every bound is written as ``not <valid>`` so that NaN, which
+        # fails every comparison, is rejected here rather than deep in
+        # the hardware model.
+        if not self.logical_cores >= 1:
+            raise ConfigurationError(
+                f"need at least one core: logical_cores={self.logical_cores!r}")
+        if not self.llc_mb >= 2:
+            raise ConfigurationError(
+                f"CAT granularity is 2 MB total: llc_mb={self.llc_mb!r}")
+        if self.max_dop is not None and not self.max_dop >= 1:
+            raise ConfigurationError(
+                f"max_dop must be >= 1: max_dop={self.max_dop!r}")
         if not 0 < self.grant_percent <= 100:
-            raise ConfigurationError("grant percent in (0, 100]")
-        if self.grant_timeout_s is not None and self.grant_timeout_s <= 0:
-            raise ConfigurationError("grant_timeout_s must be positive or None")
-        if self.small_query_bypass_bytes < 0:
-            raise ConfigurationError("small_query_bypass_bytes must be >= 0")
-        if self.max_queue_depth is not None and self.max_queue_depth < 0:
-            raise ConfigurationError("max_queue_depth must be >= 0 or None")
+            raise ConfigurationError(
+                f"grant percent in (0, 100]: grant_percent={self.grant_percent!r}")
+        if self.grant_timeout_s is not None and not self.grant_timeout_s > 0:
+            raise ConfigurationError(
+                "grant_timeout_s must be positive or None: "
+                f"grant_timeout_s={self.grant_timeout_s!r}")
+        if not self.small_query_bypass_bytes >= 0:
+            raise ConfigurationError(
+                "small_query_bypass_bytes must be >= 0: "
+                f"small_query_bypass_bytes={self.small_query_bypass_bytes!r}")
+        if self.max_queue_depth is not None and not self.max_queue_depth >= 0:
+            raise ConfigurationError(
+                "max_queue_depth must be >= 0 or None: "
+                f"max_queue_depth={self.max_queue_depth!r}")
         if self.on_grant_timeout not in ON_TIMEOUT_CHOICES:
             raise ConfigurationError(
-                f"on_grant_timeout must be one of {sorted(ON_TIMEOUT_CHOICES)}"
+                f"on_grant_timeout must be one of {sorted(ON_TIMEOUT_CHOICES)}: "
+                f"on_grant_timeout={self.on_grant_timeout!r}"
             )
 
     @property

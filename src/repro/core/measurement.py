@@ -24,11 +24,6 @@ from repro.sim.stats import Cdf
 from repro.units import to_mb_per_s
 from repro.workloads.base import ThroughputTracker
 
-#: Measurement.source values: a point either ran through the simulator
-#: or was backfilled by the learned surrogate (repro.surrogate).
-SOURCE_SIMULATED = "simulated"
-SOURCE_PREDICTED = "predicted"
-
 
 @dataclass
 class Measurement:
@@ -83,19 +78,8 @@ class Measurement:
     #: per-tenant shed counts (empty without declared tenants) — SLO
     #: post-mortems need whose traffic was dropped, not just how much
     sheds_by_tenant: Dict[str, int] = field(default_factory=dict)
-    # -- surrogate provenance (repro.surrogate); every simulated run is
-    # -- SOURCE_SIMULATED.  Predicted points are synthesized by the
-    # -- adaptive planner / what-if server, carry the surrogate's
-    # -- uncertainty estimate, and are never written to the ResultCache.
-    source: str = "simulated"           #: "simulated" | "predicted"
-    predicted_uncertainty: Optional[float] = None
 
     # -- derived observables -------------------------------------------------
-
-    @property
-    def is_predicted(self) -> bool:
-        """True when this point came from the surrogate, not the simulator."""
-        return self.source == SOURCE_PREDICTED
 
     @property
     def mpki(self) -> float:

@@ -37,7 +37,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.measurement import Measurement
 from repro.errors import ConfigurationError
@@ -54,8 +54,8 @@ log = logging.getLogger(__name__)
 #: unavailable_seconds, fleet_summary) and router_reroutes, and
 #: StorageBrownout grew latency_factor (which enters fault-carrying
 #: config digests); v3 pickles lack the new attributes.
-#: v5: Measurement grew surrogate provenance (source,
-#: predicted_uncertainty); v4 pickles lack the new attributes.
+#: v5: Measurement grew model-prediction provenance fields; v4 pickles
+#: lack the new attributes.
 #: v6: Measurement grew open-loop / fleet-SLO observables (offered_tps,
 #: arrival_sheds, sheds_by_tenant) and ExperimentConfig grew the
 #: ``arrival`` spec (which enters the config digest — an open-loop point
@@ -64,7 +64,10 @@ log = logging.getLogger(__name__)
 #: v7: Cdf pickles its sorted samples as one float64 blob (loaded into
 #: an ``array("d")``) instead of a list of floats; v6 Cdf states have
 #: no blob.
-CACHE_FORMAT_VERSION = 7
+#: v8: Measurement dropped the v5 provenance fields along with the
+#: learned model that filled them; v7 pickles carry attributes the
+#: class no longer declares.
+CACHE_FORMAT_VERSION = 8
 
 #: Environment variable consulted for a default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -356,29 +359,6 @@ class ResultCache:
                 os.unlink(tmp_name)
             except OSError:
                 pass
-
-    def iter_entries(self) -> Iterator[Tuple[str, Measurement]]:
-        """Bulk scan: yield every readable ``(digest, measurement)`` pair.
-
-        The corpus harvester (:mod:`repro.surrogate.corpus`) walks the
-        whole cache to turn past sweeps into training data, so this must
-        survive whatever a long campaign left behind: already-quarantined
-        ``.corrupt-*`` files are counted (``quarantined_entries()``) and
-        skipped, and an entry that turns out to be damaged mid-scan is
-        quarantined by :meth:`get_by_digest` and skipped — one bad file
-        is never the scan's failure.  Entries are yielded in sorted
-        digest order so every harvest of the same cache sees the same
-        sequence regardless of directory enumeration order.
-        """
-        for path in sorted(self._entry_paths()):
-            digest = path.stem
-            try:
-                measurement = self.get_by_digest(digest)
-            except Exception:       # pragma: no cover - get_by_digest guards
-                self.misses += 1
-                continue
-            if measurement is not None:
-                yield digest, measurement
 
     def quarantined_entries(self) -> int:
         """How many ``.corrupt-*`` quarantine files sit in the directory."""

@@ -479,9 +479,7 @@ class _Supervisor:
                 hedge_wins=measurement.hedge_wins,
                 unavailable_seconds=measurement.unavailable_seconds,
             )
-        if self.cache is not None and not measurement.is_predicted:
-            # The cache holds simulated ground truth only; a surrogate
-            # prediction must never masquerade as a measured entry.
+        if self.cache is not None:
             self.cache.put(item.config, measurement, digest=item.digest)
         degraded = measurement.grant_timeouts > 0 or measurement.grant_degrades > 0
         self._breaker_observe(self.policy.breaker_count_degrades and degraded)

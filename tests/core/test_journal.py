@@ -112,3 +112,44 @@ class TestEventLines:
         # In-memory view stays consistent; the failure is a warning.
         assert len(journal.events("breaker")) == 1
         assert any("could not append" in r.message for r in caplog.records)
+
+
+class TestRetiredKinds:
+    """A kind that lost its writer stays readable: older journals carry
+    ``surrogate`` event lines (predicted points of the retired adaptive
+    sweep), and resuming over such a journal must still work."""
+
+    def test_legacy_surrogate_lines_load_and_resume(self, tmp_path):
+        from repro.core.experiment import ExperimentConfig
+        from repro.core.resultcache import ResultCache
+        from repro.core.runner import JOURNAL_BASENAME, run_supervised
+
+        cache = ResultCache(tmp_path / "cache")
+        configs = [ExperimentConfig(workload="asdb", scale_factor=2000,
+                                    duration=0.5, seed=seed)
+                   for seed in range(2)]
+        first = run_supervised(configs, cache=cache)
+        assert first.cache_hits == 0
+        path = cache.directory / JOURNAL_BASENAME
+        legacy = [
+            {"event": "surrogate", "digest": "f" * 64, "index": 2,
+             "source": "predicted", "primary_metric": 1523.7,
+             "uncertainty": 0.21},
+            {"event": "surrogate", "digest": "e" * 64, "index": 3,
+             "source": "predicted", "primary_metric": 1519.2,
+             "uncertainty": 0.3},
+        ]
+        with open(path, "a", encoding="utf-8") as handle:
+            for event in legacy:
+                handle.write(json.dumps(event, sort_keys=True) + "\n")
+        records = len(SweepJournal(path))
+
+        resumed = run_supervised(configs, cache=cache)
+        assert resumed.cache_hits == len(configs)
+        assert [m.primary_metric for m in resumed.measurements] == \
+            [m.primary_metric for m in first.measurements]
+        reloaded = SweepJournal(path)
+        assert len(reloaded) == records      # no point re-attempted
+        assert reloaded.events("surrogate") == legacy
+        for digest in {cache.digest(c) for c in configs}:
+            assert reloaded.last_status(digest) == STATUS_OK

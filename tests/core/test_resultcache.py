@@ -279,6 +279,14 @@ class TestQuarantine:
         assert cache.clear() == 1          # ... and not cleared
         assert (tmp_path / f".corrupt-{path.name}").exists()
 
+    def test_quarantined_entries_counts_corpses(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.quarantined_entries() == 0
+        (tmp_path / ".corrupt-aaaa").write_bytes(b"x")
+        (tmp_path / ".corrupt-bbbb").write_bytes(b"x")
+        assert cache.quarantined_entries() == 2
+        assert len(cache) == 0
+
 
 class TestGetManyHardening:
     """Satellite: a corrupt entry in a batch probe is a per-key miss —
@@ -324,43 +332,3 @@ class TestGetManyHardening:
         for config in configs:
             cache.put(config, measurement)
         assert all(hit is not None for _, hit in cache.get_many(configs))
-
-
-class TestIterEntries:
-    """Satellite: whole-cache scans (the corpus harvest path) tolerate
-    quarantined neighbors and report them."""
-
-    def test_yields_every_entry_in_digest_order(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        configs = [make_config(seed=s) for s in range(4)]
-        measurement = run_experiment("asdb", 2000, duration=3.0)
-        digests = {cache.digest(c) for c in configs}
-        for config in configs:
-            cache.put(config, measurement)
-        scanned = list(cache.iter_entries())
-        assert {digest for digest, _ in scanned} == digests
-        assert [digest for digest, _ in scanned] == sorted(digests)
-        assert all(m.primary_metric == measurement.primary_metric
-                   for _, m in scanned)
-
-    def test_corrupt_entry_is_skipped_and_quarantined(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        configs = [make_config(seed=s) for s in range(3)]
-        measurement = run_experiment("asdb", 2000, duration=3.0)
-        paths = [cache.put(c, measurement) for c in configs]
-        paths[1].write_bytes(b"torn write")
-        scanned = list(cache.iter_entries())
-        assert len(scanned) == 2
-        assert paths[1].stem not in {digest for digest, _ in scanned}
-        assert cache.quarantined_entries() == 1
-
-    def test_quarantined_entries_counts_corpses(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.quarantined_entries() == 0
-        (tmp_path / ".corrupt-aaaa").write_bytes(b"x")
-        (tmp_path / ".corrupt-bbbb").write_bytes(b"x")
-        assert cache.quarantined_entries() == 2
-        assert len(cache) == 0
-
-    def test_empty_cache_iterates_nothing(self, tmp_path):
-        assert list(ResultCache(tmp_path).iter_entries()) == []

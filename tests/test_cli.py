@@ -75,6 +75,33 @@ def test_sweep_no_cache_overrides_env(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_whatif_answers_from_the_cache_on_a_rerun(capsys, tmp_path):
+    argv = ["whatif", "asdb", "2000", "--cores", "4,8", "--llc-mb", "12",
+            "--duration", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out.splitlines()
+    assert cold[-1] == "whatif-complete: 0 cache, 2 simulated"
+    assert main(argv) == 0
+    warm = capsys.readouterr().out.splitlines()
+    assert warm[-1] == "whatif-complete: 2 cache, 0 simulated"
+    answers = [line for line in cold if line.startswith("whatif: ")]
+    assert len(answers) == 2
+    assert [line for line in warm if line.startswith("whatif: ")] == answers
+
+
+def test_whatif_rejects_a_bad_duration(capsys):
+    code = main(["whatif", "asdb", "2000", "--duration", "-1"])
+    assert code == 1
+    assert "duration" in capsys.readouterr().err
+
+
+def test_surrogate_commands_are_gone():
+    with pytest.raises(SystemExit):
+        main(["corpus", "train"])
+    with pytest.raises(SystemExit):
+        main(["sweep", "llc", "asdb", "2000", "--adaptive"])
+
+
 def test_figure_table3_accepts_runner_flags(capsys, tmp_path):
     code = main(["figure", "table3", "--duration-scale", "0.1",
                  "--jobs", "2", "--cache-dir", str(tmp_path)])
