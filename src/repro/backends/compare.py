@@ -27,7 +27,7 @@ from repro.backends.base import DEFAULT_ROUTER_BACKENDS, make_backend
 from repro.backends.router import POLICY_RULE_BASED
 from repro.core.admission import AdmissionPolicySweep, sweep_admission_policies
 from repro.core.measurement import Measurement
-from repro.core.sweeps import core_sweep, on_backend
+from repro.core.sweeps import core_sweep, on_backend, run_sweep
 from repro.errors import ConfigurationError
 
 #: Core counts used for the cross-backend Fig 2 axis.  A routed fleet
@@ -86,10 +86,10 @@ def compare_fig2(
     """The Fig 2 core-count axis, once per backend plus the routed fleet.
 
     All grid points run through one supervised sweep (shared journal,
-    shared cache, full fan-out), then slice back into per-label series.
+    shared cache, full fan-out), then slice back into per-label series;
+    a grid point left without a measurement raises
+    :class:`~repro.errors.SweepExecutionError`.
     """
-    from repro.core.runner import run_supervised
-
     names = list(backends)
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate backends: {names}")
@@ -104,13 +104,8 @@ def compare_fig2(
     configs.extend(
         on_backend(base, router=policy, router_backends=tuple(names))
     )
-    report = run_supervised(configs, jobs=jobs, cache=cache, policy=supervision)
-    measurements = report.measurements
-    if any(m is None for m in measurements):
-        raise ConfigurationError(
-            "cross-backend figure has holes; re-run with supervision that "
-            "raises, or inspect the journal"
-        )
+    measurements = run_sweep(configs, jobs=jobs, cache=cache,
+                             policy=supervision)
     width = len(base)
     series = {
         label: tuple(measurements[i * width:(i + 1) * width])

@@ -40,13 +40,14 @@ from repro.core.experiment import run_experiment
 from repro.core.knobs import CORE_SWEEP, LLC_SWEEP_MB, ResourceAllocation
 from repro.core.report import format_series, format_table
 from repro.core.resultcache import ResultCache, default_cache_dir
+from repro.core.runner import SupervisionPolicy, run_supervised
 from repro.core.sweeps import (
     STUDY_MATRIX,
     core_sweep,
     duration_for,
     llc_sweep,
+    on_backend,
     run_sweep,
-    run_sweep_report,
 )
 from repro.units import mb_per_s
 from repro.workloads import WORKLOADS
@@ -137,8 +138,6 @@ def _resolve_backend_spec(args):
 
 
 def _resolve_policy(args):
-    from repro.core.runner import SupervisionPolicy
-
     return SupervisionPolicy(
         timeout=getattr(args, "timeout", None),
         retries=getattr(args, "retries", 2),
@@ -487,31 +486,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    backend, router, fleet = _resolve_backend_spec(args)
     if args.axis == "cores":
         configs = core_sweep(args.workload, args.scale_factor,
-                             duration_scale=args.duration_scale,
-                             backend=backend, router=router,
-                             router_backends=fleet)
+                             duration_scale=args.duration_scale)
         xs = list(CORE_SWEEP)
         x_label = "cores"
     else:
         configs = llc_sweep(args.workload, args.scale_factor,
-                            duration_scale=args.duration_scale,
-                            backend=backend, router=router,
-                            router_backends=fleet)
+                            duration_scale=args.duration_scale)
         xs = list(LLC_SWEEP_MB)
         x_label = "llc_mb"
+    configs = on_backend(configs, *_resolve_backend_spec(args))
     cache = _resolve_cache(args)
-    policy = _resolve_policy(args)
-    if policy.on_error == "raise":
-        measurements = run_sweep(configs, jobs=args.jobs, cache=cache,
-                                 policy=policy)
-    else:
-        report = run_sweep_report(configs, jobs=args.jobs, cache=cache,
-                                  policy=policy)
-        xs = [x for x, m in zip(xs, report.measurements) if m is not None]
-        measurements = report.successes()
+    # Under on_error="raise" the supervisor raises instead of leaving a
+    # hole, so only skip/collect can reach the hole report below.
+    report = run_supervised(configs, jobs=args.jobs, cache=cache,
+                            policy=_resolve_policy(args))
+    xs = [x for x, m in zip(xs, report.measurements) if m is not None]
+    measurements = report.successes()
+    if len(measurements) < len(configs):
         for failure in report.failures:
             print(f"failure: {failure.describe()}")
         print(f"sweep: {report.summary()}")
@@ -580,7 +573,6 @@ def _cmd_faults(args) -> int:
     matrix asserts on ``sweep-complete:`` and ``resumed:`` markers.
     """
     from repro.core.experiment import ExperimentConfig
-    from repro.core.runner import run_supervised
     from repro.faults import (
         CrashPoint,
         StorageBrownout,

@@ -35,12 +35,11 @@ from repro.core.runner import (
     FailedMeasurement,
     SupervisionPolicy,
     SweepReport,
-    run_configs,
     run_supervised,
+    run_sweep,
     with_seeds,
 )
 from repro.core.sensitivity import SensitivityRow, sensitivity_matrix, spectrum_width
-from repro.core.sweeps import run_sweep, run_sweep_report
 
 __all__ = [
     "Knee",
@@ -68,10 +67,8 @@ __all__ = [
     "ResultCache",
     "calibration_token",
     "config_digest",
-    "run_configs",
     "run_supervised",
     "run_sweep",
-    "run_sweep_report",
     "with_seeds",
     "FailedMeasurement",
     "SupervisionPolicy",

@@ -199,7 +199,7 @@ def run_colocated_scenarios(
     Returns ``{scenario name: [TenantResult, ...]}`` in input order.
     Each scenario builds its own base machine and simulator, so parallel
     execution is deterministic — the same guarantee
-    :func:`repro.core.runner.run_configs` gives single-tenant sweeps.
+    :func:`repro.core.runner.run_sweep` gives single-tenant sweeps.
     """
     from repro.core.runner import map_ordered
 

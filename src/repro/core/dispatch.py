@@ -3,9 +3,8 @@
 One future per point means one executor round-trip per point; dozens of
 sub-second points serialize on the dispatch path.  A :class:`ChunkTask`
 batches consecutive points into one future and returns per-point
-outcomes, so the supervisor keeps per-point journal records, retry
-policy, and circuit-breaker accounting while paying one round-trip per
-*chunk*.  :func:`auto_chunk` sizes the chunks from the sweep's length
+outcomes, so the supervisor keeps per-point journal records and retry
+policy while paying one round-trip per *chunk*.  :func:`auto_chunk` sizes the chunks from the sweep's length
 and job count.
 
 A chunk ships its configs whole.  Points of one sweep share most of

@@ -29,7 +29,7 @@ from repro.core.analysis import (
 )
 from repro.core.experiment import ExperimentConfig
 from repro.core.resultcache import ResultCache
-from repro.core.runner import SupervisionPolicy
+from repro.core.runner import SupervisionPolicy, run_supervised
 from repro.core.knobs import (
     CORE_SWEEP,
     GRANT_SWEEP_PERCENT,
@@ -47,7 +47,6 @@ from repro.core.sweeps import (
     maxdop_sweep,
     read_bandwidth_sweep,
     run_sweep,
-    run_sweep_report,
     write_bandwidth_sweep,
 )
 from repro.engine.locks import WaitType
@@ -183,15 +182,11 @@ def _sweep_series(
 ) -> SweepSeries:
     """Run one panel's grid, tolerating holes when the policy allows them.
 
-    Without a policy (or with ``on_error="raise"``) this is the dense
-    fail-fast path.  Under ``"skip"``/``"collect"`` a failed grid point
+    Under ``on_error="raise"`` (the default) the supervisor raises rather
+    than leave a hole.  Under ``"skip"``/``"collect"`` a failed grid point
     is *dropped from the series* — x and measurement together, so the
     panel stays plottable — with a warning naming what's missing."""
-    if policy is None or policy.on_error == "raise":
-        return SweepSeries(workload, scale_factor, list(xs),
-                           run_sweep(configs, jobs=jobs, cache=cache,
-                                     policy=policy))
-    report = run_sweep_report(configs, jobs=jobs, cache=cache, policy=policy)
+    report = run_supervised(configs, jobs=jobs, cache=cache, policy=policy)
     kept_xs: List[float] = []
     kept: List[Measurement] = []
     for x, measurement in zip(xs, report.measurements):

@@ -13,18 +13,12 @@ resumed sweep
 
 Besides attempt records the journal carries *event* lines —
 :meth:`SweepJournal.note` — free-form JSON keyed by an ``event`` kind.
-This table is the registry of every kind written anywhere in the repo
-(DESIGN.md mirrors it; add new kinds to both):
+This table is the registry of every kind written anywhere in the
+package; a test checks it against every ``.note(`` call in the source:
 
 ===============  ==========================  =================================
 kind             writer                      payload highlights
 ===============  ==========================  =================================
-breaker          core.runner supervisor      circuit-breaker transition,
-                                             concurrency before/after
-route            core.runner supervisor      router policy + per-backend
-                                             placement counts per point
-fleet            core.runner supervisor      failover/hedge counts a point
-                                             observed (digest-keyed)
 chaos            core.runner supervisor      canonical fault specs a faulted
                                              point will replay under
 chaos-schedule   faults.chaos                seed, scenario, episode list
@@ -37,8 +31,9 @@ fleet-traffic    fleet.cluster sweeps        fleet point: spec digest +
 ===============  ==========================  =================================
 
 Lines of a kind that nothing writes any more (older journals carry
-prediction events of the retired adaptive sweep planner) still load and
-come back from :meth:`events`.
+prediction events of the retired adaptive sweep planner, and the
+supervisor's ``route``/``fleet`` notes and concurrency-transition
+notes) still load and come back from :meth:`events`.
 
 Attempt records are digest-keyed and drive resume; event lines are
 observational — except ``fleet-traffic``, whose payload is complete
@@ -150,7 +145,7 @@ class SweepJournal:
         self._append(entry)
 
     def note(self, event: str, **fields) -> None:
-        """Append one event line (no digest) — e.g. a breaker transition.
+        """Append one event line — e.g. a chaos fault schedule.
 
         Same durability contract as :meth:`record`: disk trouble degrades
         to a warning, never an exception.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.calibration import DEFAULT_GRANT_PERCENT
-from repro.engine.resource_governor import ON_TIMEOUT_CHOICES, ON_TIMEOUT_DEGRADE
+from repro.engine.resource_governor import ON_TIMEOUT_DEGRADE, check_governor_fields
 from repro.errors import ConfigurationError
 from repro.hardware.cgroups import BlkioLimits
 from repro.hardware.machine import Machine
@@ -44,38 +44,14 @@ class ResourceAllocation:
     on_grant_timeout: str = ON_TIMEOUT_DEGRADE
 
     def __post_init__(self):
-        # Every bound is written as ``not <valid>`` so that NaN, which
-        # fails every comparison, is rejected here rather than deep in
-        # the hardware model.
+        # ``not <valid>`` rejects NaN, which fails every comparison.
         if not self.logical_cores >= 1:
             raise ConfigurationError(
                 f"need at least one core: logical_cores={self.logical_cores!r}")
         if not self.llc_mb >= 2:
             raise ConfigurationError(
                 f"CAT granularity is 2 MB total: llc_mb={self.llc_mb!r}")
-        if self.max_dop is not None and not self.max_dop >= 1:
-            raise ConfigurationError(
-                f"max_dop must be >= 1: max_dop={self.max_dop!r}")
-        if not 0 < self.grant_percent <= 100:
-            raise ConfigurationError(
-                f"grant percent in (0, 100]: grant_percent={self.grant_percent!r}")
-        if self.grant_timeout_s is not None and not self.grant_timeout_s > 0:
-            raise ConfigurationError(
-                "grant_timeout_s must be positive or None: "
-                f"grant_timeout_s={self.grant_timeout_s!r}")
-        if not self.small_query_bypass_bytes >= 0:
-            raise ConfigurationError(
-                "small_query_bypass_bytes must be >= 0: "
-                f"small_query_bypass_bytes={self.small_query_bypass_bytes!r}")
-        if self.max_queue_depth is not None and not self.max_queue_depth >= 0:
-            raise ConfigurationError(
-                "max_queue_depth must be >= 0 or None: "
-                f"max_queue_depth={self.max_queue_depth!r}")
-        if self.on_grant_timeout not in ON_TIMEOUT_CHOICES:
-            raise ConfigurationError(
-                f"on_grant_timeout must be one of {sorted(ON_TIMEOUT_CHOICES)}: "
-                f"on_grant_timeout={self.on_grant_timeout!r}"
-            )
+        check_governor_fields(self)
 
     @property
     def effective_max_dop(self) -> int:

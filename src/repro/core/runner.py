@@ -22,8 +22,8 @@ then lost the *entire* sweep.  The supervised runner replaces that:
 * results come back **in input order** regardless of completion order,
   and ``jobs=1`` with no timeout runs in-process — no pool, no pickling,
   byte-identical to the historical serial path;
-* :func:`run_configs` keeps the old list-of-measurements contract for
-  callers that want fail-fast semantics.
+* :func:`run_sweep` is the dense contract on top: a list of
+  measurements, or a raise naming the first grid point left without one.
 
 Harness-level fault specs (:class:`~repro.faults.spec.WorkerCrash`,
 :class:`~repro.faults.spec.WorkerStall`) are interpreted *here*, in the
@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.core import dispatch, workerpool
 from repro.core.dispatch import run_one  # noqa: F401 - long-standing public name
@@ -78,6 +77,19 @@ _R = TypeVar("_R")
 
 #: Journal filename used when one is auto-derived from the cache directory.
 JOURNAL_BASENAME = "sweep-journal.jsonl"
+
+#: Crash-retry backoff ceiling after the n-th failure, in seconds:
+#: ``min(BACKOFF_S * BACKOFF_FACTOR ** (n - 1), MAX_BACKOFF_S)``.  The
+#: actual sleep is drawn below it (full jitter, see
+#: :meth:`_Supervisor._backoff_delay`).  Tests that need fast retries
+#: monkeypatch these.
+BACKOFF_S = 0.25
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 10.0
+
+#: Seconds the pool supervisor waits for a future before re-checking
+#: deadlines and eligibility.
+POLL_INTERVAL_S = 0.05
 
 
 def map_ordered(
@@ -159,101 +171,44 @@ class SupervisionPolicy:
         Per-attempt wall-clock budget in seconds (None = unlimited).  A
         timed-out attempt kills and rebuilds the worker pool — there is
         no portable way to interrupt a busy worker — and other in-flight
-        configs are resubmitted without burning an attempt.
+        configs are resubmitted without burning an attempt.  Timeouts
+        are never retried: the same config would stall the same way.
     ``retries``
-        Extra attempts granted after a *crash* (worker process died).
+        Extra attempts granted after a *crash* (worker process died),
+        each after a jittered exponential backoff (:func:`retry_delay`).
         Deterministic experiment exceptions are never retried: the same
-        config and seed would fail the same way.  Timeouts are retried
-        only with ``retry_timeouts=True`` for the same reason.
-    ``backoff`` / ``backoff_factor`` / ``max_backoff``
-        Exponential delay between crash retries (seconds):
-        ``min(backoff * factor**n, max_backoff)`` after the n-th failure.
-    ``backoff_jitter`` / ``jitter_seed``
-        With ``backoff_jitter`` (the default) each actual sleep is drawn
-        uniformly from ``[0, retry_delay)`` — "full jitter", which
-        decorrelates retry storms: when a shared cause (pool break, OOM
-        burst) fails many configs at once, exponential backoff alone
-        retries them in one synchronized wave that can re-trigger the
-        cause.  Draws come from a named
-        :class:`~repro.sim.randomness.RandomStreams` stream keyed by the
-        config digest under ``jitter_seed``, so a resumed or repeated
-        sweep schedules byte-identical retry times.
-        :meth:`retry_delay` still reports the deterministic ceiling.
+        config and seed would fail the same way.
     ``on_error``
         ``"raise"``: first exhausted failure aborts the sweep (chained
         :class:`~repro.errors.SweepExecutionError`).  ``"skip"`` and
         ``"collect"`` keep going and return the holes in the
         :class:`SweepReport`; ``"collect"`` is the intended mode for
         overnight sweeps — failures come back as structured records.
-    ``breaker_threshold``
-        Backpressure circuit breaker (None = off).  The supervisor keeps
-        a sliding window of the last ``breaker_window`` outcomes; once
-        the window is full and its bad fraction reaches the threshold,
-        effective concurrency is *halved* (never below
-        ``breaker_min_jobs``) so an overloaded machine stops receiving
-        more simultaneous work than it can absorb.  "Bad" means a failed
-        attempt, and — with ``breaker_count_degrades`` (the default) —
-        also a success whose measurement shows grant timeouts or
-        degrades: the engine survived, but only by shedding load.  After
-        ``breaker_recovery_successes`` consecutive clean outcomes the
-        window grows back one job at a time (additive increase), AIMD
-        style.  Transitions are counted on the :class:`SweepReport` and
-        recorded as ``breaker`` events in the journal.
     """
 
     timeout: Optional[float] = None
     retries: int = 2
-    backoff: float = 0.25
-    backoff_factor: float = 2.0
-    max_backoff: float = 10.0
-    backoff_jitter: bool = True
-    jitter_seed: int = 0
     on_error: str = "raise"
-    retry_timeouts: bool = False
-    poll_interval: float = 0.05
-    breaker_threshold: Optional[float] = None
-    breaker_window: int = 8
-    breaker_min_jobs: int = 1
-    breaker_recovery_successes: int = 4
-    breaker_count_degrades: bool = True
 
     def __post_init__(self):
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigurationError("timeout must be positive (or None)")
-        if self.retries < 0:
-            raise ConfigurationError("retries must be >= 0")
-        if self.backoff < 0 or self.backoff_factor < 1.0 or self.max_backoff < 0:
-            raise ConfigurationError("invalid backoff parameters")
+        if self.timeout is not None and not self.timeout > 0:
+            raise ConfigurationError(
+                f"timeout must be positive or None: timeout={self.timeout!r}")
+        if not self.retries >= 0:
+            raise ConfigurationError(
+                f"retries must be >= 0: retries={self.retries!r}")
         if self.on_error not in ON_ERROR_CHOICES:
             raise ConfigurationError(
                 f"on_error must be one of {ON_ERROR_CHOICES}, got {self.on_error!r}"
             )
-        if self.poll_interval <= 0:
-            raise ConfigurationError("poll_interval must be positive")
-        if self.breaker_threshold is not None and not 0 < self.breaker_threshold <= 1:
-            raise ConfigurationError("breaker_threshold must be in (0, 1] or None")
-        if self.breaker_window < 1:
-            raise ConfigurationError("breaker_window must be >= 1")
-        if self.breaker_min_jobs < 1:
-            raise ConfigurationError("breaker_min_jobs must be >= 1")
-        if self.breaker_recovery_successes < 1:
-            raise ConfigurationError("breaker_recovery_successes must be >= 1")
 
-    def retry_delay(self, failures: int) -> float:
-        """Backoff before the attempt following the *failures*-th failure."""
-        if failures <= 0:
-            return 0.0
-        return min(
-            self.backoff * (self.backoff_factor ** (failures - 1)),
-            self.max_backoff,
-        )
 
-    def retryable(self, kind: str) -> bool:
-        if kind == KIND_CRASH:
-            return True
-        if kind == KIND_TIMEOUT:
-            return self.retry_timeouts
-        return False
+def retry_delay(failures: int) -> float:
+    """Backoff ceiling before the attempt following the *failures*-th
+    failure (seconds)."""
+    if failures <= 0:
+        return 0.0
+    return min(BACKOFF_S * (BACKOFF_FACTOR ** (failures - 1)), MAX_BACKOFF_S)
 
 
 @dataclass(frozen=True)
@@ -284,35 +239,10 @@ class SweepReport:
     retries: int = 0
     cache_hits: int = 0
     pool_restarts: int = 0
-    breaker_trips: int = 0
-    breaker_recoveries: int = 0
-    #: Per-backend query placements summed over every routed measurement
-    #: in the sweep (empty for single-backend sweeps).
-    router_decisions: Dict[str, int] = field(default_factory=dict)
-    router_fallbacks: int = 0
-    router_reroutes: int = 0
-    #: Fleet-resilience totals summed over every measurement (zero for
-    #: sweeps that never ran a replicated or hedged configuration).
-    failovers: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def observe_routing(self, measurement: Measurement) -> None:
-        """Fold one measurement's routing and fleet counters into the
-        sweep totals."""
-        for name, count in measurement.router_decisions.items():
-            self.router_decisions[name] = (
-                self.router_decisions.get(name, 0) + count
-            )
-        self.router_fallbacks += measurement.router_fallbacks
-        self.router_reroutes += measurement.router_reroutes
-        self.failovers += measurement.failovers
-        self.hedges += measurement.hedges
-        self.hedge_wins += measurement.hedge_wins
 
     def successes(self) -> List[Measurement]:
         return [m for m in self.measurements if m is not None]
@@ -323,70 +253,11 @@ class SweepReport:
     def summary(self) -> str:
         total = len(self.measurements)
         done = len(self.successes())
-        text = (
+        return (
             f"{done}/{total} configs measured "
             f"({self.cache_hits} cached, {len(self.failures)} failed, "
             f"{self.retries} retries, {self.pool_restarts} pool restarts)"
         )
-        if self.breaker_trips or self.breaker_recoveries:
-            text += (
-                f"; breaker tripped {self.breaker_trips}x, "
-                f"recovered {self.breaker_recoveries}x"
-            )
-        return text
-
-
-class _CircuitBreaker:
-    """AIMD concurrency governor over the supervisor's in-flight window.
-
-    Multiplicative decrease: when the bad fraction of a full sliding
-    window reaches the threshold, the job window halves (floor at
-    ``breaker_min_jobs``) and the window resets so one burst cannot trip
-    the breaker repeatedly.  Additive increase: every
-    ``breaker_recovery_successes`` consecutive clean outcomes win back
-    one job, up to the configured maximum.  Disabled (every observation
-    a no-op) when the policy carries no threshold — and structurally
-    inert at ``jobs=1``, where there is nothing left to halve.
-    """
-
-    def __init__(self, policy: SupervisionPolicy, jobs: int):
-        self.policy = policy
-        self.max_jobs = jobs
-        self.jobs = jobs
-        self._recent: Deque[bool] = deque(maxlen=policy.breaker_window)
-        self._streak = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.policy.breaker_threshold is not None
-
-    def observe(self, bad: bool) -> Optional[str]:
-        """Feed one outcome; returns ``"trip"``/``"recover"`` on a
-        concurrency change, None otherwise."""
-        if not self.enabled:
-            return None
-        self._recent.append(bad)
-        if bad:
-            self._streak = 0
-            window = self.policy.breaker_window
-            if (
-                len(self._recent) == window
-                and sum(self._recent) / window >= self.policy.breaker_threshold
-                and self.jobs > self.policy.breaker_min_jobs
-            ):
-                self.jobs = max(self.policy.breaker_min_jobs, self.jobs // 2)
-                self._recent.clear()
-                return "trip"
-            return None
-        self._streak += 1
-        if (
-            self.jobs < self.max_jobs
-            and self._streak >= self.policy.breaker_recovery_successes
-        ):
-            self.jobs += 1
-            self._streak = 0
-            return "recover"
-        return None
 
 
 @dataclass
@@ -404,10 +275,6 @@ class _Item:
     @property
     def attempt(self) -> int:
         """Global attempt number passed to the worker (0-based)."""
-        return self.base_attempts + self.failures
-
-    @property
-    def total_attempts(self) -> int:
         return self.base_attempts + self.failures
 
 
@@ -431,12 +298,11 @@ class _Supervisor:
         self.journal = journal
         self.report = SweepReport(measurements=[None] * len(self.configs))
         self._token = cache.token if cache is not None else None
-        self._breaker = _CircuitBreaker(policy, jobs)
         self._pool: Optional[workerpool.WarmPool] = None
         # Per-digest jitter streams: keyed by config digest so a resumed
         # sweep redraws the same retry schedule, forked off the sweep
         # runner's own namespace so no simulation stream is perturbed.
-        self._jitter = RandomStreams(policy.jitter_seed).fork("retry-backoff")
+        self._jitter = RandomStreams(0).fork("retry-backoff")
 
     # -- digests / journal -----------------------------------------------------
 
@@ -458,65 +324,23 @@ class _Supervisor:
     def _succeed(self, item: _Item, measurement: Measurement) -> None:
         self.report.measurements[item.index] = measurement
         self._journal_record(item, STATUS_OK)
-        self.report.observe_routing(measurement)
-        if measurement.router_policy is not None and self.journal is not None:
-            self.journal.note(
-                "route",
-                digest=item.digest,
-                policy=measurement.router_policy,
-                decisions=dict(measurement.router_decisions),
-                fallbacks=measurement.router_fallbacks,
-                reroutes=measurement.router_reroutes,
-            )
-        if self.journal is not None and (
-            measurement.failovers or measurement.hedges
-        ):
-            self.journal.note(
-                "fleet",
-                digest=item.digest,
-                failovers=measurement.failovers,
-                hedges=measurement.hedges,
-                hedge_wins=measurement.hedge_wins,
-                unavailable_seconds=measurement.unavailable_seconds,
-            )
         if self.cache is not None:
             self.cache.put(item.config, measurement, digest=item.digest)
-        degraded = measurement.grant_timeouts > 0 or measurement.grant_degrades > 0
-        self._breaker_observe(self.policy.breaker_count_degrades and degraded)
-
-    def _breaker_observe(self, bad: bool) -> None:
-        """Feed one outcome to the breaker; publish any transition."""
-        transition = self._breaker.observe(bad)
-        if transition is None:
-            return
-        if transition == "trip":
-            self.report.breaker_trips += 1
-            log.warning(
-                "circuit breaker tripped: effective concurrency halved to %d",
-                self._breaker.jobs,
-            )
-        else:
-            self.report.breaker_recoveries += 1
-            log.info(
-                "circuit breaker recovering: effective concurrency now %d",
-                self._breaker.jobs,
-            )
-        if self.journal is not None:
-            self.journal.note("breaker", transition=transition,
-                              jobs=self._breaker.jobs)
 
     def _backoff_delay(self, item: _Item) -> float:
         """The actual sleep before *item*'s next attempt.
 
-        :meth:`SupervisionPolicy.retry_delay` gives the exponential
-        ceiling; with ``backoff_jitter`` the sleep is drawn uniformly
-        from ``[0, ceiling)`` (full jitter) out of the item's own named
-        stream, so repeated runs — and resumed sweeps, which key the
-        stream by digest — schedule identical retry times while
-        concurrent retries of *different* configs decorrelate.
+        :func:`retry_delay` gives the exponential ceiling; the sleep is
+        drawn uniformly from ``[0, ceiling)`` (full jitter) out of the
+        item's own named stream.  Full jitter decorrelates retry storms:
+        when a shared cause (pool break, OOM burst) fails many configs at
+        once, exponential backoff alone retries them in one synchronized
+        wave that can re-trigger the cause.  Keying the stream by digest
+        makes repeated runs — and resumed sweeps — schedule identical
+        retry times.
         """
-        ceiling = self.policy.retry_delay(item.failures)
-        if not self.policy.backoff_jitter or ceiling <= 0:
+        ceiling = retry_delay(item.failures)
+        if ceiling <= 0:
             return ceiling
         return float(self._jitter.get(item.digest).uniform(0.0, ceiling))
 
@@ -534,9 +358,8 @@ class _Supervisor:
         )
         message = f"{type(exc).__name__}: {exc}" if exc is not None else kind
         self._journal_record(item, status, error=message)
-        self._breaker_observe(True)
         item.failures += 1
-        if self.policy.retryable(kind) and item.failures <= self.policy.retries:
+        if kind == KIND_CRASH and item.failures <= self.policy.retries:
             self.report.retries += 1
             delay = self._backoff_delay(item)
             item.eligible = time.monotonic() + delay
@@ -574,7 +397,7 @@ class _Supervisor:
             kind=kind,
             error_type=type(exc).__name__,
             message=str(exc),
-            attempts=item.total_attempts,
+            attempts=item.attempt,
         )
 
     # -- main loop -------------------------------------------------------------
@@ -587,15 +410,22 @@ class _Supervisor:
             probes = self.cache.get_many(self.configs)
         else:
             probes = [(self._digest(config), None) for config in self.configs]
-        pending: List[_Item] = []
+        misses = []
         for index, (config, (digest, hit)) in enumerate(
             zip(self.configs, probes)
         ):
-            if hit is not None:
+            if hit is None:
+                misses.append((index, config, digest))
+            else:
                 self.report.measurements[index] = hit
                 self.report.cache_hits += 1
-                self.report.observe_routing(hit)
-                continue
+        if not misses:
+            return self.report
+        if self.journal is None and self.cache is not None:
+            # Opened only now, so an all-hit replay never reads it.
+            self.journal = SweepJournal(self.cache.directory / JOURNAL_BASENAME)
+        pending: List[_Item] = []
+        for index, config, digest in misses:
             base = self.journal.attempts(digest) if self.journal else 0
             pending.append(_Item(index=index, config=config, digest=digest,
                                  base_attempts=base))
@@ -610,8 +440,6 @@ class _Supervisor:
                     digest=digest,
                     faults=[canonical_json(f) for f in sim_faults],
                 )
-        if not pending:
-            return self.report
         if self.jobs == 1 and self.policy.timeout is None:
             self._run_serial(pending)
         else:
@@ -693,10 +521,9 @@ class _Supervisor:
                 # (submission is deferred while the window is full so the
                 # per-attempt clock starts when the attempt actually can).
                 # During quarantine the window narrows to one solo
-                # suspect; otherwise the circuit breaker governs how much
-                # concurrency the machine is currently trusted with.
+                # suspect.
                 source = suspects if suspects else waiting
-                window = 1 if suspects else self._breaker.jobs
+                window = 1 if suspects else self.jobs
                 ready = [it for it in source if it.eligible <= now]
                 while ready and len(running) < window:
                     batch = self._next_batch(ready, 1 if suspects else chunk)
@@ -728,9 +555,9 @@ class _Supervisor:
                     # eligibility.
                     wake = min(it.eligible for it in suspects + waiting)
                     time.sleep(max(0.0, min(wake - time.monotonic(),
-                                            self.policy.poll_interval * 10)))
+                                            POLL_INTERVAL_S * 10)))
                     continue
-                done, _ = wait(set(running), timeout=self.policy.poll_interval,
+                done, _ = wait(set(running), timeout=POLL_INTERVAL_S,
                                return_when=FIRST_COMPLETED)
                 crashed: List[_Item] = []
                 broken_exc: Optional[BaseException] = None
@@ -835,10 +662,11 @@ def run_supervised(
 ) -> SweepReport:
     """Run every config under supervision; never loses partial progress.
 
-    When *cache* is given and *journal* is not, a journal is opened next
-    to the cache (``sweep-journal.jsonl``) so interrupted sweeps resume:
-    successes short-circuit through the cache, failed points re-run with
-    their global attempt number carried forward.
+    When *cache* is given and *journal* is not, a journal next to the
+    cache (``sweep-journal.jsonl``) is opened once the cache probe leaves
+    a point to run, so interrupted sweeps resume: successes
+    short-circuit through the cache, failed points re-run with their
+    global attempt number carried forward.
 
     Parallel points share worker round-trips in chunks of about a
     quarter of the sweep per job (one point each under a per-attempt
@@ -846,27 +674,26 @@ def run_supervised(
     ordering, journal records, and retry accounting stay per grid point.
     """
     policy = policy or SupervisionPolicy()
-    if journal is None and cache is not None:
-        journal = SweepJournal(cache.directory / JOURNAL_BASENAME)
     return _Supervisor(configs, jobs, cache, policy, journal).run()
 
 
-def run_configs(
+def run_sweep(
     configs: Sequence[ExperimentConfig],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     policy: Optional[SupervisionPolicy] = None,
-    journal: Optional[SweepJournal] = None,
 ) -> List[Measurement]:
-    """Run every config, in order; returns a dense list or raises.
+    """Run every config, in input order; returns a dense list or raises.
 
-    The historical fail-fast contract: any hole in the report (possible
-    only under a ``"skip"``/``"collect"`` policy) raises
+    ``jobs`` controls process-pool fan-out (1 = in-process); parallel
+    execution is exact, not approximate: every config carries its own
+    seed and machine, so ``jobs=4`` returns bit-identical measurements
+    to ``jobs=1``.  Any hole in the report (possible only under a
+    ``"skip"``/``"collect"`` policy) raises
     :class:`~repro.errors.SweepExecutionError` naming the first missing
     grid point.  Use :func:`run_supervised` to consume partial results.
     """
-    report = run_supervised(configs, jobs=jobs, cache=cache, policy=policy,
-                            journal=journal)
+    report = run_supervised(configs, jobs=jobs, cache=cache, policy=policy)
     for index, measurement in enumerate(report.measurements):
         if measurement is None:
             raise SweepExecutionError(

@@ -4,13 +4,15 @@ A sweep is a list of :class:`~repro.core.experiment.ExperimentConfig`
 sharing a workload and varying exactly one resource axis, mirroring the
 paper's methodology (§4-§8).  ``run_sweep`` executes them — optionally in
 parallel and through the on-disk result cache (see
-:mod:`repro.core.runner`) — and returns the measurements in order.
+:mod:`repro.core.runner`) — and returns the measurements in order;
+:func:`on_backend` re-targets a grid at another engine personality or a
+routed fleet.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import DEFAULT_BACKEND
 from repro.core.experiment import ExperimentConfig
@@ -21,11 +23,7 @@ from repro.core.knobs import (
     MAXDOP_SWEEP,
     ResourceAllocation,
 )
-from repro.core.measurement import Measurement
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner uses sweeps' types)
-    from repro.core.resultcache import ResultCache
-    from repro.core.runner import SupervisionPolicy, SweepReport
+from repro.core.runner import run_sweep  # noqa: F401 - the sweeps' executor
 
 #: All (workload, scale factor) pairs of the study (Table 2).
 STUDY_MATRIX: Tuple[Tuple[str, int], ...] = (
@@ -71,12 +69,8 @@ def on_backend(
     grids never collide with the originals.
     """
     return [
-        replace(
-            config,
-            backend=backend,
-            router=router,
-            router_backends=tuple(router_backends),
-        )
+        replace(config, backend=backend, router=router,
+                router_backends=tuple(router_backends))
         for config in configs
     ]
 
@@ -87,9 +81,6 @@ def core_sweep(
     cores: Sequence[int] = CORE_SWEEP,
     llc_mb: int = 40,
     duration_scale: float = 1.0,
-    backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> List[ExperimentConfig]:
     """Fig 2 (a,d,g,j): performance vs number of logical cores, full LLC.
 
@@ -113,9 +104,6 @@ def core_sweep(
             scale_factor=scale_factor,
             allocation=ResourceAllocation(logical_cores=n, llc_mb=llc_mb),
             duration=window(n),
-            backend=backend,
-            router=router,
-            router_backends=tuple(router_backends),
         )
         for n in cores
     ]
@@ -127,9 +115,6 @@ def llc_sweep(
     sizes_mb: Sequence[int] = LLC_SWEEP_MB,
     cores: int = 32,
     duration_scale: float = 1.0,
-    backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> List[ExperimentConfig]:
     """Fig 2 (b,e,h,k and c,f,i,l): performance and MPKI vs LLC size.
 
@@ -141,9 +126,6 @@ def llc_sweep(
             scale_factor=scale_factor,
             allocation=ResourceAllocation(logical_cores=cores, llc_mb=mb),
             duration=duration_for(workload, scale_factor, duration_scale),
-            backend=backend,
-            router=router,
-            router_backends=tuple(router_backends),
         )
         for mb in sizes_mb
     ]
@@ -154,9 +136,6 @@ def read_bandwidth_sweep(
     workload: str = "tpch",
     scale_factor: int = 300,
     duration_scale: float = 1.0,
-    backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> List[ExperimentConfig]:
     """Fig 5: QPS vs SSD read-bandwidth limit (full cores + LLC).
 
@@ -169,9 +148,6 @@ def read_bandwidth_sweep(
             scale_factor=scale_factor,
             allocation=ResourceAllocation(read_bw_limit=limit),
             duration=2.0 * duration_for(workload, scale_factor, duration_scale),
-            backend=backend,
-            router=router,
-            router_backends=tuple(router_backends),
         )
         for limit in limits_bytes_per_s
     ]
@@ -182,9 +158,6 @@ def write_bandwidth_sweep(
     workload: str = "asdb",
     scale_factor: int = 2000,
     duration_scale: float = 1.0,
-    backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> List[ExperimentConfig]:
     """§6: TPS vs SSD write-bandwidth limit for transactional workloads."""
     return [
@@ -193,9 +166,6 @@ def write_bandwidth_sweep(
             scale_factor=scale_factor,
             allocation=ResourceAllocation(write_bw_limit=limit),
             duration=duration_for(workload, scale_factor, duration_scale),
-            backend=backend,
-            router=router,
-            router_backends=tuple(router_backends),
         )
         for limit in limits_bytes_per_s
     ]
@@ -205,9 +175,6 @@ def maxdop_sweep(
     scale_factor: int,
     maxdops: Sequence[int] = MAXDOP_SWEEP,
     duration_scale: float = 1.0,
-    backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> List[ExperimentConfig]:
     """Fig 6: single-stream TPC-H with MAXDOP (and cores) limited (§7)."""
     return [
@@ -217,9 +184,6 @@ def maxdop_sweep(
             allocation=ResourceAllocation(logical_cores=dop, max_dop=dop),
             duration=duration_for("tpch", scale_factor, duration_scale),
             workload_kwargs={"streams": 1},
-            backend=backend,
-            router=router,
-            router_backends=tuple(router_backends),
         )
         for dop in maxdops
     ]
@@ -229,9 +193,6 @@ def grant_sweep(
     scale_factor: int = 100,
     percents: Sequence[float] = GRANT_SWEEP_PERCENT,
     duration_scale: float = 1.0,
-    backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> List[ExperimentConfig]:
     """Fig 8: single-stream TPC-H SF=100 with query memory grant limits."""
     return [
@@ -241,55 +202,6 @@ def grant_sweep(
             allocation=ResourceAllocation(grant_percent=pct),
             duration=duration_for("tpch", scale_factor, duration_scale),
             workload_kwargs={"streams": 1},
-            backend=backend,
-            router=router,
-            router_backends=tuple(router_backends),
         )
         for pct in percents
     ]
-
-
-def run_sweep(
-    configs: Sequence[ExperimentConfig],
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
-    policy: Optional["SupervisionPolicy"] = None,
-) -> List[Measurement]:
-    """Execute a sweep and return measurements in input order.
-
-    ``jobs`` controls process-pool fan-out (1 = in-process, the
-    historical serial path); parallel sweeps run on a persistent warm
-    worker pool that is reused across sweeps within the process.
-    ``cache`` is an optional
-    :class:`~repro.core.resultcache.ResultCache` that short-circuits
-    previously-measured grid points.  Parallel execution is exact, not
-    approximate: every config carries its own seed and machine, so
-    ``jobs=4`` returns bit-identical measurements to ``jobs=1``.
-
-    ``policy`` tunes supervision (timeouts, crash retries); this
-    function keeps the dense fail-fast contract, so a policy hole
-    raises :class:`~repro.errors.SweepExecutionError` — use
-    :func:`run_sweep_report` to consume partial results.
-    """
-    from repro.core.runner import run_configs
-
-    return run_configs(configs, jobs=jobs, cache=cache, policy=policy)
-
-
-def run_sweep_report(
-    configs: Sequence[ExperimentConfig],
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
-    policy: Optional["SupervisionPolicy"] = None,
-) -> "SweepReport":
-    """Execute a sweep under supervision and keep partial results.
-
-    Unlike :func:`run_sweep` this never raises for individual grid-point
-    failures when the policy says ``"skip"``/``"collect"`` — the
-    returned :class:`~repro.core.runner.SweepReport` holds successes (in
-    input order, ``None`` holes) plus structured failure records, and a
-    re-invocation resumes from the cache/journal.
-    """
-    from repro.core.runner import run_supervised
-
-    return run_supervised(configs, jobs=jobs, cache=cache, policy=policy)

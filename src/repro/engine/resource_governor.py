@@ -38,6 +38,37 @@ ON_TIMEOUT_FAIL = "fail"
 ON_TIMEOUT_CHOICES = (ON_TIMEOUT_DEGRADE, ON_TIMEOUT_FAIL)
 
 
+def check_governor_fields(settings) -> None:
+    """Validate the six fields a :class:`ResourceGovernor` shares with
+    :class:`~repro.core.knobs.ResourceAllocation` (``max_dop`` may be None
+    on the latter).
+
+    Every bound is written as ``not <valid>`` so that NaN, which fails
+    every comparison, is rejected here rather than deep in the engine;
+    every message ends with ``: field=value``.
+    """
+    max_dop, timeout_s = settings.max_dop, settings.grant_timeout_s
+    bypass, depth = settings.small_query_bypass_bytes, settings.max_queue_depth
+    if max_dop is not None and not max_dop >= 1:
+        raise ConfigurationError(f"max_dop must be >= 1: max_dop={max_dop!r}")
+    if not 0 < settings.grant_percent <= 100:
+        raise ConfigurationError(
+            f"grant percent in (0, 100]: grant_percent={settings.grant_percent!r}")
+    if timeout_s is not None and not timeout_s > 0:
+        raise ConfigurationError(
+            f"grant_timeout_s must be positive or None: grant_timeout_s={timeout_s!r}")
+    if not bypass >= 0:
+        raise ConfigurationError("small_query_bypass_bytes must be >= 0: "
+                                 f"small_query_bypass_bytes={bypass!r}")
+    if depth is not None and not depth >= 0:
+        raise ConfigurationError(
+            f"max_queue_depth must be >= 0 or None: max_queue_depth={depth!r}")
+    if settings.on_grant_timeout not in ON_TIMEOUT_CHOICES:
+        raise ConfigurationError(
+            f"on_grant_timeout must be one of {sorted(ON_TIMEOUT_CHOICES)}: "
+            f"on_grant_timeout={settings.on_grant_timeout!r}")
+
+
 @dataclass(frozen=True)
 class ResourceGovernor:
     """Engine-level resource settings for a run."""
@@ -50,21 +81,9 @@ class ResourceGovernor:
     on_grant_timeout: str = ON_TIMEOUT_DEGRADE
 
     def __post_init__(self):
-        if self.max_dop < 1:
-            raise ConfigurationError("max_dop must be >= 1")
-        if not 0 < self.grant_percent <= 100:
-            raise ConfigurationError("grant percent in (0, 100]")
-        if self.grant_timeout_s is not None and self.grant_timeout_s <= 0:
-            raise ConfigurationError("grant_timeout_s must be positive (or None)")
-        if self.small_query_bypass_bytes < 0:
-            raise ConfigurationError("small_query_bypass_bytes must be >= 0")
-        if self.max_queue_depth is not None and self.max_queue_depth < 0:
-            raise ConfigurationError("max_queue_depth must be >= 0 (or None)")
-        if self.on_grant_timeout not in ON_TIMEOUT_CHOICES:
-            raise ConfigurationError(
-                f"on_grant_timeout must be one of {ON_TIMEOUT_CHOICES}, "
-                f"got {self.on_grant_timeout!r}"
-            )
+        if self.max_dop is None:   # only an allocation defers to its cores
+            raise ConfigurationError("max_dop must be >= 1: max_dop=None")
+        check_governor_fields(self)
 
     @property
     def overload_protection_enabled(self) -> bool:

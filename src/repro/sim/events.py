@@ -1,9 +1,9 @@
 """Event heap and simulation clock.
 
 The :class:`EventLoop` is a classic calendar: events are ``(time, seq)``
-ordered in a binary heap, where ``seq`` is a monotonically increasing tie
-breaker so that events scheduled at the same instant fire in FIFO order and
-runs are fully deterministic.
+ordered in a binary heap, where ``seq`` is a monotonically increasing
+sequence number that breaks ties, so events scheduled at the same instant
+fire in FIFO order and runs are fully deterministic.
 
 Cancelled events are removed lazily: :meth:`Event.cancel` only sets a flag,
 and the loop skips flagged entries as they surface at the heap top.  A

@@ -1,5 +1,5 @@
-"""Cross-backend comparison grids and the routing counters they surface
-on SweepReport and in the sweep journal."""
+"""Cross-backend comparison grids and the routing counters each routed
+measurement carries through the supervised runner and the cache."""
 
 import json
 
@@ -69,32 +69,39 @@ class TestCompareAdmission:
 
 
 class TestSweepReportRouting:
-    def test_report_aggregates_and_journals_decisions(self, tmp_path):
+    def test_decisions_ride_on_measurements(self, tmp_path):
+        """A routed sweep's placements live on each measurement, and the
+        journal holds attempt records only (no per-point route notes)."""
         configs = on_backend(
             [ExperimentConfig(workload="tpch", scale_factor=10, duration=3.0,
                               allocation=ResourceAllocation(logical_cores=c))
              for c in (8, 32)],
             router="rule-based",
         )
-        cache = ResultCache(tmp_path)
-        report = run_supervised(configs, cache=cache)
-        assert sum(report.router_decisions.values()) > 0
-        assert set(report.router_decisions) <= {
-            "rowstore-oltp", "columnstore-dss", "elastic-serverless"
-        }
+        report = run_supervised(configs, cache=ResultCache(tmp_path))
+        for measurement in report.measurements:
+            assert measurement.router_policy == "rule-based"
+            assert sum(measurement.router_decisions.values()) > 0
+            assert set(measurement.router_decisions) <= {
+                "rowstore-oltp", "columnstore-dss", "elastic-serverless"
+            }
         journal_lines = [
             json.loads(line)
             for line in (tmp_path / JOURNAL_BASENAME).read_text().splitlines()
         ]
-        route_notes = [l for l in journal_lines if l.get("event") == "route"]
-        assert len(route_notes) == 2
-        assert all(n["policy"] == "rule-based" for n in route_notes)
+        assert [l["status"] for l in journal_lines] == ["ok", "ok"]
 
     def test_cache_hits_still_counted(self, tmp_path):
+        """Router decisions survive the cache: a hit carries the same
+        per-backend placements as the run that stored it."""
         config = ExperimentConfig(workload="tpch", scale_factor=10,
                                   duration=3.0, router="rule-based")
         cache = ResultCache(tmp_path)
         first = run_supervised([config], cache=cache)
         second = run_supervised([config], cache=cache)
         assert second.cache_hits == 1
-        assert second.router_decisions == first.router_decisions
+        decisions = second.measurements[0].router_decisions
+        assert sum(decisions.values()) > 0
+        assert decisions == first.measurements[0].router_decisions
+        assert second.measurements[0].router_fallbacks == \
+            first.measurements[0].router_fallbacks

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.knobs import ResourceAllocation
+from repro.engine.resource_governor import ResourceGovernor
 from repro.errors import ConfigurationError
 
 NAN = float("nan")
@@ -66,6 +67,21 @@ def test_allocation_rejects_bad_values_by_name(field, value, message):
         ConfigurationError, match=rf"{message}: {field}={value!r}"
     ):
         ResourceAllocation(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_dop", NAN, "max_dop must be >= 1"),
+    ("max_dop", None, "max_dop must be >= 1"),
+    ("grant_percent", NAN, r"grant percent in \(0, 100\]"),
+    ("grant_timeout_s", NAN, "grant_timeout_s must be positive or None"),
+    ("small_query_bypass_bytes", NAN, "small_query_bypass_bytes must be >= 0"),
+    ("max_queue_depth", NAN, "max_queue_depth must be >= 0 or None"),
+    ("on_grant_timeout", "queue", "on_grant_timeout must be one of"),
+])
+def test_governor_rejects_bad_values_by_name(field, value, message):
+    with pytest.raises(ConfigurationError,
+                       match=rf"{message}.*: {field}={value!r}"):
+        ResourceGovernor(**{field: value})
 
 
 def test_valid_configs_still_construct():

@@ -1,8 +1,11 @@
 """Tests for the figure regenerators (fast configurations) and report
 formatting."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import figures
 from repro.core.figures import (
     Table2Row,
     fig2_cores,
@@ -12,6 +15,10 @@ from repro.core.figures import (
     table2,
 )
 from repro.core.report import format_series, format_table, sparkline
+from repro.core.runner import SupervisionPolicy
+from repro.core.sweeps import core_sweep
+from repro.errors import SweepExecutionError
+from repro.faults.spec import WorkerCrash
 
 
 class TestReport:
@@ -71,6 +78,22 @@ class TestSweepFigures:
         series = fig2_llc("asdb", 2000, sizes_mb=(2, 40), duration_scale=0.2)
         assert series.mpki[0] > series.mpki[1]
         assert series.performance[1] > series.performance[0]
+
+    @pytest.mark.usefixtures("fast_retries")
+    def test_collect_drops_a_crashed_point_with_a_warning(self):
+        configs = core_sweep("asdb", 2000, cores=(4, 8), duration_scale=0.05)
+        configs[0] = replace(configs[0], faults=(WorkerCrash(attempts=99),))
+        collect = SupervisionPolicy(retries=0, on_error="collect")
+        with pytest.warns(UserWarning,
+                          match=r"asdb sf=2000: dropping grid point x=4\.0"):
+            series = figures._sweep_series("asdb", 2000, configs, [4.0, 8.0],
+                                           1, None, collect)
+        assert series.xs == [8.0]
+        assert len(series.measurements) == 1
+        # The default policy raises instead of leaving the hole.
+        with pytest.raises(SweepExecutionError):
+            figures._sweep_series("asdb", 2000, configs, [4.0, 8.0],
+                                  1, None, None)
 
 
 class TestFig7:

@@ -153,3 +153,44 @@ class TestRetiredKinds:
         assert reloaded.events("surrogate") == legacy
         for digest in {cache.digest(c) for c in configs}:
             assert reloaded.last_status(digest) == STATUS_OK
+
+
+def _registered_kinds():
+    """The ``kind`` column of the table in the journal module docstring."""
+    import repro.core.journal as journal
+
+    lines = journal.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("=====")]
+    header, first_row, end = rules[0], rules[1] + 1, rules[2]
+    width = len(lines[header].split()[0])
+    return {line[:width].strip() for line in lines[first_row:end]
+            if line[:width].strip()}
+
+
+def _noted_kinds():
+    """Every kind passed to ``.note(`` anywhere in the package source."""
+    import ast
+    import pathlib
+
+    import repro
+
+    kinds, dynamic = set(), []
+    for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "note"):
+                kind = node.args[0] if node.args else None
+                if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+                    kinds.add(kind.value)
+                else:
+                    dynamic.append(f"{path.name}:{node.lineno}")
+    return kinds, dynamic
+
+
+class TestKindRegistry:
+    def test_docstring_table_lists_exactly_the_kinds_written(self):
+        kinds, dynamic = _noted_kinds()
+        assert dynamic == []       # every kind is a greppable literal
+        assert _registered_kinds() == kinds
+        assert {"breaker", "route", "fleet"}.isdisjoint(kinds)

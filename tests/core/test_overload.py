@@ -1,7 +1,6 @@
 """Overload-protection tests across the engine/harness boundary:
 invariance with the seed, GrantTimeoutError handling in the supervised
-runner, the concurrency circuit breaker, the admission-policy sweep, and
-the GrantStorm fault (ISSUE: robustness tentpole).
+runner, the admission-policy sweep, and the GrantStorm fault.
 
 All contended scenarios use TPC-H SF100: its large sorts/joins request
 multi-GB grants against the default 36.9 GB query-memory pool, whose 25%
@@ -19,13 +18,8 @@ from repro.core.admission import (
     sweep_admission_policies,
 )
 from repro.core.experiment import Experiment, ExperimentConfig
-from repro.core.journal import SweepJournal
 from repro.core.knobs import ResourceAllocation
-from repro.core.runner import (
-    SupervisionPolicy,
-    _CircuitBreaker,
-    run_supervised,
-)
+from repro.core.runner import SupervisionPolicy, run_supervised
 from repro.errors import (
     ConfigurationError,
     FaultInjectionError,
@@ -120,8 +114,7 @@ class TestGrantTimeoutFailure:
         )
         report = run_supervised(
             [config],
-            policy=SupervisionPolicy(on_error="collect", retries=2,
-                                     backoff=0.01),
+            policy=SupervisionPolicy(on_error="collect", retries=2),
         )
         assert not report.ok
         assert report.measurements == [None]
@@ -130,115 +123,6 @@ class TestGrantTimeoutFailure:
         assert failure.error_type == "GrantTimeoutError"
         # Deterministic simulation errors are not retried.
         assert failure.attempts == 1
-
-
-class TestCircuitBreakerUnit:
-    def policy(self, **overrides):
-        defaults = dict(breaker_threshold=0.5, breaker_window=4,
-                        breaker_min_jobs=1, breaker_recovery_successes=2)
-        defaults.update(overrides)
-        return SupervisionPolicy(**defaults)
-
-    def test_disabled_breaker_never_moves(self):
-        breaker = _CircuitBreaker(SupervisionPolicy(), jobs=8)
-        assert not breaker.enabled
-        for _ in range(20):
-            assert breaker.observe(True) is None
-        assert breaker.jobs == 8
-
-    def test_trips_only_on_a_full_window(self):
-        breaker = _CircuitBreaker(self.policy(), jobs=8)
-        assert breaker.observe(True) is None   # window 1/4
-        assert breaker.observe(True) is None   # 2/4
-        assert breaker.observe(True) is None   # 3/4
-        assert breaker.observe(True) == "trip"
-        assert breaker.jobs == 4
-
-    def test_halves_repeatedly_down_to_min_jobs(self):
-        breaker = _CircuitBreaker(self.policy(), jobs=8)
-        transitions = [breaker.observe(True) for _ in range(12)]
-        # One trip per full window of bad outcomes: 8 -> 4 -> 2 -> 1.
-        assert transitions.count("trip") == 3
-        assert breaker.jobs == 1
-        # At the floor the breaker stays put no matter how bad it gets.
-        for _ in range(8):
-            assert breaker.observe(True) is None
-        assert breaker.jobs == 1
-
-    def test_additive_increase_recovery(self):
-        breaker = _CircuitBreaker(self.policy(), jobs=4)
-        for _ in range(4):
-            breaker.observe(True)
-        assert breaker.jobs == 2
-        assert breaker.observe(False) is None       # streak 1
-        assert breaker.observe(False) == "recover"  # streak 2: +1 job
-        assert breaker.jobs == 3
-        assert breaker.observe(False) is None
-        assert breaker.observe(False) == "recover"
-        assert breaker.jobs == 4
-        # Never exceeds the configured ceiling.
-        for _ in range(6):
-            assert breaker.observe(False) is None
-        assert breaker.jobs == 4
-
-    def test_bad_outcome_resets_the_recovery_streak(self):
-        breaker = _CircuitBreaker(self.policy(), jobs=4)
-        for _ in range(4):
-            breaker.observe(True)
-        assert breaker.jobs == 2
-        breaker.observe(False)
-        breaker.observe(True)    # streak broken
-        assert breaker.observe(False) is None   # streak 1 again
-        assert breaker.jobs == 2
-
-    def test_mixed_window_respects_threshold(self):
-        breaker = _CircuitBreaker(self.policy(breaker_threshold=0.75),
-                                  jobs=4)
-        # 2 bad / 4 = 0.5 < 0.75: no trip.
-        for bad in (True, False, True, False):
-            assert breaker.observe(bad) is None
-        assert breaker.jobs == 4
-
-
-class TestCircuitBreakerIntegration:
-    def test_degrade_storm_trips_breaker_and_journals_it(self, tmp_path):
-        """Four all-degrading grid points at jobs=2 with a window of 2
-        trip the breaker exactly once (2 -> 1 job); the transition is
-        journaled and survives a journal reload."""
-        configs = [
-            tpch_config(streams=64, seed=seed,
-                        allocation=ResourceAllocation(grant_timeout_s=1.0))
-            for seed in range(4)
-        ]
-        journal_path = tmp_path / "sweep-journal.jsonl"
-        policy = SupervisionPolicy(
-            breaker_threshold=1.0, breaker_window=2, breaker_min_jobs=1,
-            breaker_recovery_successes=2,
-        )
-        report = run_supervised(configs, jobs=2, policy=policy,
-                                journal=SweepJournal(journal_path))
-        assert report.ok
-        assert len(report.successes()) == 4
-        assert all(m.grant_degrades > 0 for m in report.successes())
-        assert report.breaker_trips == 1
-        assert "breaker tripped 1x" in report.summary()
-        events = SweepJournal(journal_path).events("breaker")
-        assert events
-        assert events[0]["transition"] == "trip"
-        assert events[0]["jobs"] == 1
-
-    def test_serial_supervision_keeps_breaker_inert(self):
-        """jobs=1 is already the floor: the breaker observes but can
-        never trip, so serial sweeps are unaffected."""
-        configs = [
-            tpch_config(streams=64, seed=seed,
-                        allocation=ResourceAllocation(grant_timeout_s=1.0))
-            for seed in range(2)
-        ]
-        policy = SupervisionPolicy(breaker_threshold=0.5, breaker_window=1)
-        report = run_supervised(configs, jobs=1, policy=policy)
-        assert report.ok
-        assert report.breaker_trips == 0
 
 
 class TestAdmissionSweep:

@@ -1,8 +1,8 @@
 """Property test: parallel chunked dispatch is bit-identical to serial.
 
-Warm pools and chunking are *dispatch* changes only.  For every backend personality, a supervised
-sweep with faults firing and the circuit breaker armed must produce
-byte-for-byte the same pickled measurements at ``jobs=4`` (chunked, warm
+Warm pools and chunking are *dispatch* changes only.  For every backend
+personality, a supervised sweep with faults firing and crash retries on
+must produce byte-for-byte the same pickled measurements at ``jobs=4`` (chunked, warm
 pool, real worker crashes) as at ``jobs=1`` (the historical in-process
 path with simulated crashes).
 """
@@ -39,12 +39,8 @@ def grid(backend):
 
 
 def policy():
-    """Retries on, backoff tiny, breaker armed with a small window."""
-    return SupervisionPolicy(
-        retries=2, backoff=0.01, backoff_factor=2.0,
-        breaker_threshold=0.5, breaker_window=4,
-        breaker_recovery_successes=1,
-    )
+    """Retries on; the ``fast_retries`` fixture keeps the backoff tiny."""
+    return SupervisionPolicy(retries=2)
 
 
 def fingerprints(report):
@@ -55,6 +51,7 @@ def fingerprints(report):
     ]
 
 
+@pytest.mark.usefixtures("fast_retries")
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_parallel_chunked_matches_serial_bit_for_bit(backend):
     configs = grid(backend)

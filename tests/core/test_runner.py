@@ -10,7 +10,7 @@ from repro.core.colocation import ColocationScenario, TenantSpec, run_colocated_
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.knobs import ResourceAllocation
 from repro.core.resultcache import ResultCache
-from repro.core.runner import map_ordered, run_configs, run_one, with_seeds
+from repro.core.runner import map_ordered, run_one, with_seeds
 from repro.core.sweeps import run_sweep
 from repro.errors import ConfigurationError
 from repro.hardware.machine import MachineSpec
@@ -113,10 +113,10 @@ class TestCachedRuns:
     def test_second_run_is_all_hits_and_identical(self, tmp_path):
         configs = mixed_sweep()
         cache = ResultCache(tmp_path)
-        cold = run_configs(configs, cache=cache)
+        cold = run_sweep(configs, cache=cache)
         assert cache.stats() == {"hits": 0, "misses": 3, "stores": 3,
                                  "store_errors": 0, "corrupt": 0}
-        warm = run_configs(configs, cache=cache)
+        warm = run_sweep(configs, cache=cache)
         assert cache.stats() == {"hits": 3, "misses": 3, "stores": 3,
                                  "store_errors": 0, "corrupt": 0}
         assert [fingerprint(m) for m in cold] == \
@@ -125,17 +125,17 @@ class TestCachedRuns:
     def test_cached_results_match_uncached(self, tmp_path):
         configs = mixed_sweep()
         cache = ResultCache(tmp_path)
-        run_configs(configs, cache=cache)
-        warm = run_configs(configs, cache=cache)
-        plain = run_configs(configs)
+        run_sweep(configs, cache=cache)
+        warm = run_sweep(configs, cache=cache)
+        plain = run_sweep(configs)
         assert [fingerprint(m) for m in warm] == \
             [fingerprint(m) for m in plain]
 
     def test_partial_hits_fill_only_the_gaps(self, tmp_path):
         configs = mixed_sweep()
         cache = ResultCache(tmp_path)
-        run_configs(configs[:2], cache=cache)
-        results = run_configs(configs, cache=cache, jobs=2)
+        run_sweep(configs[:2], cache=cache)
+        results = run_sweep(configs, cache=cache, jobs=2)
         assert cache.stats()["hits"] == 2
         assert cache.stats()["stores"] == 3
         assert [m.workload for m in results] == ["tpch", "tpce", "asdb"]
@@ -143,7 +143,7 @@ class TestCachedRuns:
     def test_seed_change_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = mixed_sweep()[0]
-        run_configs([config], cache=cache)
+        run_sweep([config], cache=cache)
         reseeded = ExperimentConfig(
             workload=config.workload, scale_factor=config.scale_factor,
             duration=config.duration, seed=config.seed + 1,
@@ -153,7 +153,7 @@ class TestCachedRuns:
     def test_machine_spec_change_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = mixed_sweep()[0]
-        run_configs([config], cache=cache)
+        run_sweep([config], cache=cache)
         other_box = ExperimentConfig(
             workload=config.workload, scale_factor=config.scale_factor,
             duration=config.duration, seed=config.seed,
@@ -164,7 +164,7 @@ class TestCachedRuns:
     def test_calibration_token_change_misses(self, tmp_path):
         config = mixed_sweep()[0]
         cache = ResultCache(tmp_path, token="model-v1")
-        run_configs([config], cache=cache)
+        run_sweep([config], cache=cache)
         retuned = ResultCache(tmp_path, token="model-v2")
         assert retuned.get(config) is None
 

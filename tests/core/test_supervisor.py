@@ -1,11 +1,12 @@
 """Tests for the supervised sweep runner: crash retry with backoff,
 timeouts, error policies, journal-based resume, and the chained
-``map_ordered`` error reporting (ISSUE: robustness tentpole)."""
+``map_ordered`` error reporting."""
 
 import time
 
 import pytest
 
+from repro.core import runner
 from repro.core.experiment import ExperimentConfig
 from repro.core.journal import (
     STATUS_CRASH,
@@ -13,16 +14,21 @@ from repro.core.journal import (
     STATUS_TIMEOUT,
     SweepJournal,
 )
-from repro.core.resultcache import ResultCache
+from repro.core.resultcache import ResultCache, calibration_token, config_digest
 from repro.core.runner import (
     JOURNAL_BASENAME,
     SupervisionPolicy,
     map_ordered,
-    run_configs,
+    retry_delay,
     run_supervised,
 )
+from repro.core.sweeps import run_sweep
 from repro.errors import ConfigurationError, SweepExecutionError
 from repro.faults.spec import WorkerCrash, WorkerStall
+from repro.sim.randomness import RandomStreams
+
+#: For the classes that retry for real: backoff ceilings of 10 ms, 20 ms.
+with_fast_retries = pytest.mark.usefixtures("fast_retries")
 
 
 def cfg(seed=0, faults=(), duration=0.5):
@@ -31,40 +37,46 @@ def cfg(seed=0, faults=(), duration=0.5):
 
 
 def fast_policy(**overrides):
-    defaults = dict(retries=2, backoff=0.01, backoff_factor=2.0)
-    defaults.update(overrides)
-    return SupervisionPolicy(**defaults)
+    """Supervision with two crash retries (``fast_retries`` shrinks the
+    backoff)."""
+    return SupervisionPolicy(**{"retries": 2, **overrides})
 
 
 class TestPolicyValidation:
     def test_rejects_bad_values(self):
         for bad in (
             dict(timeout=0.0),
+            dict(timeout=float("nan")),
             dict(retries=-1),
-            dict(backoff=-0.1),
-            dict(backoff_factor=0.5),
             dict(on_error="explode"),
-            dict(poll_interval=0.0),
         ):
             with pytest.raises(ConfigurationError):
                 SupervisionPolicy(**bad)
 
     def test_retry_delay_grows_exponentially_and_clamps(self):
-        policy = SupervisionPolicy(backoff=1.0, backoff_factor=2.0,
-                                   max_backoff=5.0)
-        assert policy.retry_delay(1) == 1.0
-        assert policy.retry_delay(2) == 2.0
-        assert policy.retry_delay(3) == 4.0
-        assert policy.retry_delay(4) == 5.0   # clamped
+        assert [retry_delay(n) for n in (0, 1, 2, 3)] == [0.0, 0.25, 0.5, 1.0]
+        assert retry_delay(6) == 8.0
+        assert retry_delay(7) == 10.0   # clamped at MAX_BACKOFF_S
 
     def test_deterministic_errors_not_retryable(self):
-        policy = SupervisionPolicy()
-        assert policy.retryable("crash")
-        assert not policy.retryable("error")
-        assert not policy.retryable("timeout")
-        assert SupervisionPolicy(retry_timeouts=True).retryable("timeout")
+        """Only a crash earns a retry: an error or a timeout is final
+        however many retries the policy grants."""
+        from repro.core.runner import _Item, _Supervisor
+
+        sup = _Supervisor([], jobs=1, cache=None, journal=None,
+                          policy=fast_policy(retries=5, on_error="skip"))
+
+        def retried(kind):
+            item = _Item(index=0, config=cfg(), digest="d" * 8,
+                         base_attempts=0)
+            return sup._fail(item, kind, RuntimeError(kind))
+
+        assert retried("crash")
+        assert not retried("error")
+        assert not retried("timeout")
 
 
+@with_fast_retries
 class TestCrashRetry:
     def test_crash_is_retried_and_succeeds(self):
         """attempts=1 means the fault fires once: attempt 0 crashes,
@@ -75,14 +87,17 @@ class TestCrashRetry:
         assert report.retries == 1
         assert report.measurements[0] is not None
 
-    def test_backoff_delays_the_retry(self):
-        # Jitter off: the un-jittered path must sleep the full ceiling.
+    def test_backoff_delays_the_retry(self, monkeypatch):
+        """The two retries sleep the two jittered draws from the point's
+        own stream: uniform under ceilings of 0.2 s and then 0.4 s."""
+        monkeypatch.setattr(runner, "BACKOFF_S", 0.2)
+        config = cfg(faults=[WorkerCrash(attempts=2)])
+        stream = RandomStreams(0).fork("retry-backoff").get(
+            config_digest(config, calibration_token()))
+        expected = stream.uniform(0.0, 0.2) + stream.uniform(0.0, 0.4)
         start = time.monotonic()
-        run_supervised([cfg(faults=[WorkerCrash(attempts=2)])],
-                       policy=fast_policy(backoff=0.2, retries=2,
-                                          backoff_jitter=False))
-        # Two failures: 0.2s + 0.4s backoff before the clean third attempt.
-        assert time.monotonic() - start >= 0.6
+        run_supervised([config], policy=fast_policy(retries=2))
+        assert time.monotonic() - start >= expected
 
     def test_exhausted_retries_collects_failure(self):
         report = run_supervised([cfg(faults=[WorkerCrash(attempts=99)])],
@@ -111,6 +126,7 @@ class TestCrashRetry:
         assert report.failures == []
 
 
+@with_fast_retries
 class TestDeterministicErrors:
     def test_bad_config_fails_without_retry(self):
         bad = ExperimentConfig(workload="nope", scale_factor=1, duration=0.5)
@@ -121,12 +137,13 @@ class TestDeterministicErrors:
         assert failure.attempts == 1      # never retried
         assert report.retries == 0
 
-    def test_run_configs_raises_on_holes(self):
+    def test_run_sweep_raises_on_holes(self):
         bad = ExperimentConfig(workload="nope", scale_factor=1, duration=0.5)
         with pytest.raises(SweepExecutionError):
-            run_configs([bad], policy=fast_policy(on_error="collect"))
+            run_sweep([bad], policy=fast_policy(on_error="collect"))
 
 
+@with_fast_retries
 class TestPoolSupervision:
     """Real process-pool behaviours: hard worker death and timeouts."""
 
@@ -157,12 +174,13 @@ class TestPoolSupervision:
         report = run_supervised(
             configs, jobs=2, policy=fast_policy(retries=1, on_error="collect"),
         )
-        clean = run_configs([cfg(seed=1), cfg(seed=2)])
+        clean = run_sweep([cfg(seed=1), cfg(seed=2)])
         assert report.measurements[0].primary_metric == clean[0].primary_metric
         assert report.measurements[2].primary_metric == clean[1].primary_metric
         assert report.measurements[1] is None
 
 
+@with_fast_retries
 class TestJournalResume:
     def test_second_invocation_reruns_only_failures(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -185,6 +203,23 @@ class TestJournalResume:
         assert warm.ok
         assert warm.cache_hits == 1
         assert warm.measurements[1] is not None
+
+    def test_all_hit_replay_never_loads_the_journal(self, tmp_path,
+                                                    monkeypatch):
+        cache = ResultCache(tmp_path)
+        configs = [cfg(seed=1), cfg(seed=2)]
+        run_supervised(configs, cache=cache)
+        assert (tmp_path / JOURNAL_BASENAME).exists()
+        loads = []
+        load = SweepJournal._load
+        monkeypatch.setattr(SweepJournal, "_load",
+                            lambda self: loads.append(self.path) or load(self))
+        warm = run_supervised(configs, cache=cache)
+        assert warm.cache_hits == 2
+        assert loads == []
+        # A point left to run opens the auto-derived journal once.
+        run_supervised(configs + [cfg(seed=3)], cache=cache)
+        assert loads == [tmp_path / JOURNAL_BASENAME]
 
     def test_journal_statuses_recorded(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -240,14 +275,12 @@ def _explode_on_two(x):
 
 
 class TestBackoffJitter:
-    """Full jitter on crash-retry backoff (satellite: retry storms)."""
+    """Full jitter on crash-retry backoff (decorrelates retry storms)."""
 
-    def supervisor(self, **policy_overrides):
+    def supervisor(self):
         from repro.core.runner import _Supervisor
 
-        policy = fast_policy(backoff=1.0, backoff_factor=2.0,
-                             **policy_overrides)
-        return _Supervisor([], jobs=1, cache=None, policy=policy,
+        return _Supervisor([], jobs=1, cache=None, policy=fast_policy(),
                            journal=None)
 
     def item(self, digest="d" * 8, failures=1):
@@ -260,15 +293,10 @@ class TestBackoffJitter:
         sup = self.supervisor()
         for failures in (1, 2, 3, 4):
             item = self.item(failures=failures)
-            ceiling = sup.policy.retry_delay(failures)
+            ceiling = retry_delay(failures)
             for _ in range(20):
                 delay = sup._backoff_delay(item)
                 assert 0.0 <= delay <= ceiling
-
-    def test_jitter_off_sleeps_the_full_ceiling(self):
-        sup = self.supervisor(backoff_jitter=False)
-        item = self.item(failures=2)
-        assert sup._backoff_delay(item) == sup.policy.retry_delay(2)
 
     def test_same_seed_and_digest_redraw_the_same_schedule(self):
         sup_a, sup_b = self.supervisor(), self.supervisor()
@@ -283,16 +311,3 @@ class TestBackoffJitter:
         a = [sup._backoff_delay(self.item(digest="a" * 8)) for _ in range(5)]
         b = [sup._backoff_delay(self.item(digest="b" * 8)) for _ in range(5)]
         assert a != b
-
-    def test_different_jitter_seeds_decorrelate(self):
-        a = [self.supervisor(jitter_seed=1)._backoff_delay(self.item())
-             for _ in range(3)]
-        b = [self.supervisor(jitter_seed=2)._backoff_delay(self.item())
-             for _ in range(3)]
-        assert a != b
-
-    def test_retry_delay_itself_is_unchanged_by_jitter(self):
-        policy = SupervisionPolicy(backoff=1.0, backoff_factor=2.0,
-                                   max_backoff=5.0, backoff_jitter=True)
-        assert [policy.retry_delay(n) for n in (1, 2, 3, 4)] == [
-            1.0, 2.0, 4.0, 5.0]

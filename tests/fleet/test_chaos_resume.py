@@ -25,7 +25,7 @@ def chaos_grid():
 
 
 def quiet_policy():
-    return SupervisionPolicy(retries=1, backoff=0.01, timeout=60.0)
+    return SupervisionPolicy(retries=1, timeout=60.0)
 
 
 class TestChaosResume:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.sweeps import llc_sweep, on_backend
 
 
 def test_list(capsys):
@@ -63,6 +64,31 @@ def test_sweep_with_jobs_and_cache(capsys, tmp_path):
     assert "cache: 6 hits, 0 misses" in warm
     # identical numbers either way — the cache serves, never distorts
     assert warm.splitlines()[1:] == cold.splitlines()[1:]
+
+
+def test_sweep_on_error_collect_prints_the_default_rows(capsys):
+    argv = ["sweep", "cores", "asdb", "2000", "--duration-scale", "0.1"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--on-error", "collect"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_sweep_retargets_the_grid_with_on_backend(monkeypatch):
+    seen = []
+
+    def capture(configs, **kwargs):
+        seen.extend(configs)
+        raise SystemExit(0)
+
+    monkeypatch.setattr("repro.cli.run_supervised", capture)
+    with pytest.raises(SystemExit):
+        main(["sweep", "llc", "tpch", "10", "--router", "cost-scored",
+              "--router-backends", "rowstore-oltp, columnstore-dss"])
+    assert seen == on_backend(llc_sweep("tpch", 10, duration_scale=0.5),
+                              router="cost-scored",
+                              router_backends=("rowstore-oltp",
+                                               "columnstore-dss"))
 
 
 def test_sweep_no_cache_overrides_env(capsys, tmp_path, monkeypatch):
