@@ -20,7 +20,11 @@ document (written to ``BENCH_sim_kernel.json`` at the repo root):
   path has regressed;
 * ``fig2_mini`` — a short serial ASDB core sweep timed end to end
   (``points_per_second`` is the number the perf-smoke regression check
-  tracks across commits).
+  tracks across commits);
+* ``olap_mini`` — the OLAP anchor beside it: one Fig 5 read-cap point
+  (TPC-H through the cgroup and device token buckets) and one HTAP
+  point (the water-filling CPU server), timed the same way and gated
+  the same way.
 
 Thresholds live in :func:`check_report`; ``benchmarks/check_perf_smoke.py``
 re-applies them in CI against the committed baseline.
@@ -37,7 +41,7 @@ try:
     from benchmarks.bench_runner_scaling import effective_cores
 except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from bench_runner_scaling import effective_cores
-from repro.core.sweeps import core_sweep, run_sweep
+from repro.core.sweeps import core_sweep, read_bandwidth_sweep, run_sweep
 from repro.hardware.counters import (
     ALL_COUNTERS,
     CounterSeries,
@@ -49,7 +53,7 @@ from repro.hardware.counters import (
     SSD_WRITE_BYTES,
 )
 from repro.sim.events import EventLoop
-from repro.units import MIB
+from repro.units import MIB, mb_per_s
 from repro.workloads.profiles import execution_profile
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -237,6 +241,19 @@ def bench_fig2_mini(duration_scale):
     }
 
 
+def bench_olap_mini(duration_scale):
+    """End-to-end OLAP guard: a Fig 5 read-cap point and an HTAP point."""
+    configs = (read_bandwidth_sweep([mb_per_s(800)], duration_scale=duration_scale)
+               + core_sweep("htap", 5000, cores=(32,), duration_scale=duration_scale))
+    seconds = _best_of(2, lambda: run_sweep(configs, jobs=1))
+    return {
+        "points": len(configs),
+        "duration_scale": duration_scale,
+        "seconds": round(seconds, 4),
+        "points_per_second": round(len(configs) / seconds, 3),
+    }
+
+
 def run_kernel_study(duration_scale):
     return {
         "bench": "sim_kernel",
@@ -245,6 +262,7 @@ def run_kernel_study(duration_scale):
         "counter_rollup": bench_counter_rollup(),
         "events": bench_events(),
         "fig2_mini": bench_fig2_mini(duration_scale * 0.5),
+        "olap_mini": bench_olap_mini(duration_scale * 0.5),
     }
 
 

@@ -13,12 +13,13 @@ Two classes of check:
   compaction observed, warm cache >= 10x.  These are robust across
   machines because both sides of each ratio ran on the same host.
 * **Cross-commit regression** (only with ``--baseline-kernel``): the
-  fresh ``fig2_mini.points_per_second`` must be at least
-  ``PERF_SMOKE_ALLOWED_REGRESSION`` (default 0.8, i.e. no more than a
-  20% serial-kernel slowdown) times the committed baseline's.  Skipped
-  with a notice when the baseline predates the metric.  Absolute
-  wall-clock comparisons are only meaningful between same-class runners;
-  loosen the env knob if CI hardware changes.
+  fresh ``points_per_second`` of each end-to-end anchor — ``fig2_mini``
+  (the OLTP path) and ``olap_mini`` (token buckets and the water-filling
+  server) — must be at least ``PERF_SMOKE_ALLOWED_REGRESSION`` (default
+  0.8, i.e. no more than a 20% slowdown) times the committed
+  baseline's.  Each is skipped with a notice when the baseline predates
+  it.  Absolute wall-clock comparisons are only meaningful between
+  same-class runners; loosen the env knob if CI hardware changes.
 """
 
 import argparse
@@ -41,21 +42,26 @@ except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     import bench_sim_kernel
 
 
+#: End-to-end anchors of ``BENCH_sim_kernel.json`` gated across commits.
+ANCHORS = ("fig2_mini", "olap_mini")
+
+
 def check_regression(fresh, baseline_path, allowed):
     baseline = json.loads(Path(baseline_path).read_text())
-    old = baseline.get("fig2_mini", {}).get("points_per_second")
-    new = fresh.get("fig2_mini", {}).get("points_per_second")
-    if not old or not new:
-        print("perf-smoke: baseline lacks fig2_mini.points_per_second; "
-              "regression check skipped")
-        return
-    ratio = new / old
-    print(f"perf-smoke: serial kernel {new} vs baseline {old} "
-          f"points/s ({ratio:.2f}x, floor {allowed:.2f}x)")
-    assert ratio >= allowed, (
-        f"serial kernel regressed: {new} points/s is {ratio:.2f}x the "
-        f"baseline {old} (floor {allowed:.2f}x)"
-    )
+    for anchor in ANCHORS:
+        old = baseline.get(anchor, {}).get("points_per_second")
+        new = fresh.get(anchor, {}).get("points_per_second")
+        if not old or not new:
+            print(f"perf-smoke: baseline lacks {anchor}.points_per_second; "
+                  "regression check skipped")
+            continue
+        ratio = new / old
+        print(f"perf-smoke: {anchor} {new} vs baseline {old} "
+              f"points/s ({ratio:.2f}x, floor {allowed:.2f}x)")
+        assert ratio >= allowed, (
+            f"{anchor} regressed: {new} points/s is {ratio:.2f}x the "
+            f"baseline {old} (floor {allowed:.2f}x)"
+        )
 
 
 def main(argv=None):

@@ -23,7 +23,6 @@ from repro.calibration import TABLE2_SIZES_GB
 from repro.core.analysis import (
     LinearComparison,
     linear_response_comparison,
-    speedup_series,
     sufficient_allocation,
     wait_ratio_table,
 )
@@ -49,7 +48,6 @@ from repro.core.sweeps import (
     run_sweep,
     write_bandwidth_sweep,
 )
-from repro.engine.locks import WaitType
 from repro.engine.plan.render import plan_diff_summary, render_plan
 from repro.engine.schemas import build
 from repro.hardware.counters import (

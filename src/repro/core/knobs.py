@@ -24,7 +24,7 @@ from typing import Optional
 from repro.calibration import DEFAULT_GRANT_PERCENT
 from repro.engine.resource_governor import ON_TIMEOUT_DEGRADE, check_governor_fields
 from repro.errors import ConfigurationError
-from repro.hardware.cgroups import BlkioLimits
+from repro.hardware.cgroups import BlkioLimits, check_bandwidth_limit
 from repro.hardware.machine import Machine
 
 
@@ -51,6 +51,8 @@ class ResourceAllocation:
         if not self.llc_mb >= 2:
             raise ConfigurationError(
                 f"CAT granularity is 2 MB total: llc_mb={self.llc_mb!r}")
+        check_bandwidth_limit("read_bw_limit", self.read_bw_limit)
+        check_bandwidth_limit("write_bw_limit", self.write_bw_limit)
         check_governor_fields(self)
 
     @property

@@ -9,6 +9,7 @@ then configure the underlying hardware models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
@@ -51,6 +52,15 @@ class CpuSet:
         return len(self.cpus)
 
 
+def check_bandwidth_limit(name: str, limit: Optional[float]) -> None:
+    """Reject a blkio cap that is neither ``None`` nor positive and
+    finite, in a message ending ``: name=value``.  Written as ``not
+    <valid>`` so that NaN, which fails every comparison, is rejected."""
+    if limit is not None and not 0 < limit < math.inf:
+        raise AllocationError(
+            f"blkio cap must be positive and finite, or None: {name}={limit!r}")
+
+
 @dataclass
 class BlkioLimits:
     """Block IO bandwidth limits, in bytes/sec (``None`` = unlimited)."""
@@ -59,6 +69,5 @@ class BlkioLimits:
     write_bps: Optional[float] = None
 
     def __post_init__(self):
-        for name, value in (("read_bps", self.read_bps), ("write_bps", self.write_bps)):
-            if value is not None and value <= 0:
-                raise AllocationError(f"{name} must be positive or None")
+        check_bandwidth_limit("read_bps", self.read_bps)
+        check_bandwidth_limit("write_bps", self.write_bps)

@@ -13,6 +13,11 @@ process once, on the last chunk's device grant.  Each grant continues the
 walk through ``EventLoop.call_soon``, exactly where the process of a
 per-chunk ``take`` loop would have resumed, so a transfer fires the same
 events in the same order as that loop did, with the same floats.
+
+A blkio limit is checked before it reaches a bucket: ``None``, or
+positive and finite.  A rejected limit raises
+:class:`~repro.errors.AllocationError` (a ``ConfigurationError``) naming
+it and leaves the cgroup bucket's rate and burst as they were.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from repro.errors import ConfigurationError, FaultInjectionError, TransientIOError
+from repro.hardware.cgroups import check_bandwidth_limit
 from repro.sim.process import Simulator, Timeout, WaitEvent
 from repro.sim.resources import TokenBucket
 from repro.units import mb_per_s
@@ -61,17 +67,21 @@ class NvmeDevice:
     # -- cgroup blkio front-end -------------------------------------------------
 
     def set_read_limit(self, limit: Optional[float]) -> None:
-        """Apply (or clear, with ``None``) a BlockIOReadBandwidth cap."""
-        if limit is not None and not limit > 0:
-            raise ConfigurationError(f"read limit must be positive or None, got limit={limit}")
+        """Apply (or clear, with ``None``) a BlockIOReadBandwidth cap.
+
+        A rejected *limit* raises before the bucket is touched.
+        """
+        check_bandwidth_limit("limit", limit)
         burst = (limit * 0.01) if limit else 0.0
         self._cgroup_read.burst = burst
         self._cgroup_read.set_rate(limit)
 
     def set_write_limit(self, limit: Optional[float]) -> None:
-        """Apply (or clear, with ``None``) a BlockIOWriteBandwidth cap."""
-        if limit is not None and not limit > 0:
-            raise ConfigurationError(f"write limit must be positive or None, got limit={limit}")
+        """Apply (or clear, with ``None``) a BlockIOWriteBandwidth cap.
+
+        A rejected *limit* raises before the bucket is touched.
+        """
+        check_bandwidth_limit("limit", limit)
         burst = (limit * 0.01) if limit else 0.0
         self._cgroup_write.burst = burst
         self._cgroup_write.set_rate(limit)
@@ -214,8 +224,10 @@ class _Transfer:
             yield from device.take(chunk)
             remaining -= chunk
 
-    Each chunk is queued on the cgroup bucket and then on the device
-    bucket through :meth:`TokenBucket.consume`.  A grant continues the walk
+    Each chunk is handed to the cgroup bucket and then to the device
+    bucket through :meth:`TokenBucket.consume`, which decides an idle
+    bucket's grant or timer on the spot; a transfer's own chunks never
+    overlap, so only concurrent transfers queue.  A grant continues the walk
     through ``call_soon``, where the loop's process would have resumed, and
     credits the chunk to the bucket there; an uncapped cgroup passes the
     chunk straight through, with no event, as ``take`` does.  The device
@@ -238,7 +250,10 @@ class _Transfer:
         self._next_chunk()
 
     def _next_chunk(self) -> None:
-        chunk = self.chunk = min(self._chunk_bytes, self._remaining)
+        # ``min(chunk_bytes, remaining)``, without the call.
+        remaining = self._remaining
+        chunk_bytes = self._chunk_bytes
+        chunk = self.chunk = remaining if remaining < chunk_bytes else chunk_bytes
         if self._cgroup.consume(chunk, self._cgroup_granted):
             self._device.consume(chunk, self._device_granted)
 

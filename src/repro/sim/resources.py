@@ -8,7 +8,9 @@ need:
 * :class:`ProcessorSharingServer` — a fluid capacity shared equally among
   active jobs (used for cores and for bandwidth-shared devices),
 * :class:`TokenBucket` — a rate limiter (used for cgroup blkio read/write
-  bandwidth caps and DRAM channel limits).
+  bandwidth caps and the NVMe device's own bandwidth).  Every storage
+  chunk of the OLAP figures passes through two of them, so a consume
+  refills at most once and decides an idle bucket's grant on the spot.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ class FcfsServer:
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "fcfs"):
-        if capacity < 1:
-            raise SimulationError(f"{name}: capacity must be >= 1, got {capacity}")
+        if not capacity >= 1:
+            raise SimulationError(f"{name}: capacity must be >= 1, got capacity={capacity}")
         self._sim = sim
         self.capacity = capacity
         self.name = name
@@ -59,8 +61,8 @@ class FcfsServer:
         capacity until enough releases drain it, after which grants
         follow the new limit.  Growing wakes queued waiters immediately.
         """
-        if capacity < 1:
-            raise SimulationError(f"{self.name}: capacity must be >= 1, got {capacity}")
+        if not capacity >= 1:
+            raise SimulationError(f"{self.name}: capacity must be >= 1, got capacity={capacity}")
         self.capacity = capacity
         # Wake one queued waiter per newly-free slot (each increments
         # in_use itself when it resumes, so count the grants locally).
@@ -123,6 +125,16 @@ class TokenBucket:
     models an uncapped cgroup.  Requests are served FIFO, so a large
     request cannot be starved.
 
+    Tokens accrue lazily: whoever touches the bucket first at a new
+    instant (a consume, the head's timer, a rate change) adds
+    ``rate * (now - last)`` once, and the idle burst cap
+    ``min(burst, tokens)`` applies whenever the queue is empty.  A
+    request that finds the bucket idle (empty queue, no timer) is granted
+    or has its timer armed straight from :meth:`consume`; only a request
+    that queues behind another waits for :meth:`_drain`, which the head's
+    timer runs.  Both paths do the same float operations in the same
+    order, so where a request enters never changes a grant instant.
+
     Not the same job as :class:`~repro.fleet.hedging.RetryBudget`, the
     lazy admit/deny bucket: this one makes byte streams wait, keeps a
     FIFO of timers, and interpolates ``served_bytes`` between grants.
@@ -138,6 +150,7 @@ class TokenBucket:
         if rate is not None and not 0 < rate < math.inf:
             raise SimulationError(f"{name}: rate must be positive and finite, or None; got rate={rate}")
         self._sim = sim
+        self._loop = sim.loop
         self.rate = rate
         self.burst = max(0.0, burst)
         self.name = name
@@ -151,26 +164,24 @@ class TokenBucket:
         self._in_flight = None
 
     def set_rate(self, rate: Optional[float]) -> None:
-        """Change the cap at runtime (models rewriting the cgroup limit)."""
-        self._refill()
+        """Change the cap at runtime (models rewriting the cgroup limit).
+
+        Tokens accrue at the old rate up to now; a queued head is then
+        re-planned at the new one.  A rejected *rate* changes nothing.
+        """
         if rate is not None and not 0 < rate < math.inf:
             raise SimulationError(f"{self.name}: rate must be positive and finite, or None; got rate={rate}")
+        now = self._loop._now
+        if self.rate is not None:
+            self._tokens += self.rate * (now - self._last_refill)
+            if not self._queue:
+                self._tokens = min(self.burst, self._tokens)
+        self._last_refill = now
         self.rate = rate
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._kick()
-
-    def _refill(self) -> None:
-        now = self._sim.now
-        if self.rate is not None:
-            self._tokens += self.rate * (now - self._last_refill)
-            # The burst cap only applies while the bucket is idle; a pending
-            # request may accumulate an arbitrarily large budget (it will be
-            # consumed in full the moment it is served).
-            if not self._queue:
-                self._tokens = min(self.burst, self._tokens)
-        self._last_refill = now
+        self._drain()
 
     @property
     def served_bytes(self) -> float:
@@ -201,15 +212,59 @@ class TokenBucket:
         """
         if not nbytes >= 0:
             raise SimulationError(f"{self.name}: negative consume nbytes={nbytes}")
-        if self.rate is None or nbytes == 0:
+        rate = self.rate
+        if rate is None or nbytes == 0:
             self.total_consumed += nbytes
             return True
-        # Apply the idle burst cap *before* enqueuing: once a request is
-        # pending, accumulated tokens are uncapped (they'll be consumed),
-        # so an idle period must not bank unlimited credit.
-        self._refill()
-        self._queue.append((nbytes, on_grant))
-        self._kick()
+        now = self._loop._now
+        tokens = self._tokens
+        if now != self._last_refill:
+            tokens += rate * (now - self._last_refill)
+            self._last_refill = now
+        queue = self._queue
+        if queue or self._timer is not None:
+            # Behind a pending request or its timer: the idle cap only
+            # applies to an empty queue, and the grant waits for the
+            # head's timer.
+            if not queue:
+                tokens = min(self.burst, tokens)
+            self._tokens = tokens
+            queue.append((nbytes, on_grant))
+            if self._timer is None:
+                self._drain()
+            return False
+        # Idle: apply the burst cap *before* deciding, so an idle period
+        # never banks more than ``burst`` of credit; then grant or arm
+        # the timer as :meth:`_drain` would for a lone head.  Here and in
+        # :meth:`_drain`, ``x if x < y else y`` is ``min(y, x)`` and
+        # ``x if x > y else y`` is ``max(y, x)``, NaN included, without
+        # the call.
+        burst = self.burst
+        tokens = tokens if tokens < burst else burst
+        # Tolerate float rounding: a sub-byte deficit (or one below a
+        # relative epsilon) is considered satisfied — otherwise the
+        # timer delay can fall below the clock's representable
+        # resolution and the drain loop would never advance time.
+        slack = nbytes * 1e-9
+        if tokens >= nbytes - (slack if slack > 1.0 else 1.0):
+            left = tokens - nbytes
+            self._tokens = left if left > 0.0 else 0.0
+            on_grant()
+            # A callback that queued more at this instant is served by
+            # the drain the queue would have continued with.
+            if queue:
+                self._drain()
+            else:
+                self._in_flight = None
+            return False
+        self._tokens = tokens
+        queue.append((nbytes, on_grant))
+        # Clamp the delay to something the simulation clock can resolve
+        # at any plausible magnitude of `now`.
+        delay = (nbytes - tokens) / rate
+        delay = 1e-9 if 1e-9 > delay else delay
+        self._in_flight = (now, now + delay, nbytes)
+        self._timer = self._loop.schedule_after(delay, self._on_timer)
         return False
 
     def take(self, nbytes: float) -> Generator:
@@ -221,37 +276,45 @@ class TokenBucket:
         self.total_consumed += nbytes
         return None
 
-    def _kick(self) -> None:
-        if self._timer is None:
-            self._drain()
-
-    def _drain(self) -> None:
-        self._refill()
-        while self._queue:
-            nbytes, on_grant = self._queue[0]
-            if self.rate is None:
-                self._queue.popleft()
-                on_grant()
-                continue
-            # Tolerate float rounding: a sub-byte deficit (or one below a
-            # relative epsilon) is considered satisfied — otherwise the
-            # timer delay can fall below the clock's representable
-            # resolution and the drain loop would never advance time.
-            if self._tokens >= nbytes - max(1.0, nbytes * 1e-9):
-                self._tokens = max(0.0, self._tokens - nbytes)
-                self._queue.popleft()
-                on_grant()
-                continue
-            deficit = nbytes - self._tokens
-            # Clamp the delay to something the simulation clock can
-            # resolve at any plausible magnitude of `now`.
-            delay = max(deficit / self.rate, 1e-9)
-            self._in_flight = (self._sim.now, self._sim.now + delay, nbytes)
-            self._timer = self._sim.loop.schedule_after(delay, self._on_timer)
-            return
-        self._in_flight = None
-
     def _on_timer(self, _event) -> None:
         self._timer = None
         self._in_flight = None
         self._drain()
+
+    def _drain(self) -> None:
+        """Accrue tokens up to now, then grant queued requests in order
+        until one has to wait, and arm its timer."""
+        queue = self._queue
+        rate = self.rate
+        now = self._loop._now
+        if rate is not None:
+            if now != self._last_refill:
+                self._tokens += rate * (now - self._last_refill)
+            # The burst cap only applies while the bucket is idle; a
+            # pending request may accumulate an arbitrarily large budget
+            # (it will be consumed in full the moment it is served).
+            if not queue:
+                self._tokens = min(self.burst, self._tokens)
+        self._last_refill = now
+        while queue:
+            nbytes, on_grant = queue[0]
+            if rate is None:
+                queue.popleft()
+                on_grant()
+            else:
+                tokens = self._tokens
+                slack = nbytes * 1e-9
+                if tokens >= nbytes - (slack if slack > 1.0 else 1.0):
+                    left = tokens - nbytes
+                    self._tokens = left if left > 0.0 else 0.0
+                    queue.popleft()
+                    on_grant()
+                else:
+                    delay = (nbytes - tokens) / rate
+                    delay = 1e-9 if 1e-9 > delay else delay
+                    self._in_flight = (now, now + delay, nbytes)
+                    self._timer = self._loop.schedule_after(delay, self._on_timer)
+                    return
+            # ``on_grant`` may have changed the rate at this instant.
+            rate = self.rate
+        self._in_flight = None

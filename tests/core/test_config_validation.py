@@ -61,6 +61,10 @@ def test_scale_factor_must_be_at_least_one(scale_factor):
     ("grant_timeout_s", NAN, "grant_timeout_s must be positive or None"),
     ("small_query_bypass_bytes", NAN, "small_query_bypass_bytes must be >= 0"),
     ("max_queue_depth", NAN, "max_queue_depth must be >= 0 or None"),
+] + [
+    (field, value, "blkio cap must be positive and finite, or None")
+    for field in ("read_bw_limit", "write_bw_limit")
+    for value in (NAN, math.inf, 0.0, -1.0)
 ])
 def test_allocation_rejects_bad_values_by_name(field, value, message):
     with deadline(1.0), pytest.raises(

@@ -61,6 +61,17 @@ class TestFcfsServer:
         with pytest.raises(SimulationError):
             FcfsServer(sim, capacity=0)
 
+    def test_nan_capacity_rejected(self):
+        # A NaN capacity would never grant: ``in_use < nan`` is false.
+        with pytest.raises(SimulationError, match="capacity=nan"):
+            FcfsServer(Simulator(), capacity=float("nan"))
+
+    def test_nan_set_capacity_rejected(self):
+        server = FcfsServer(Simulator(), capacity=2)
+        with pytest.raises(SimulationError, match="capacity=nan"):
+            server.set_capacity(float("nan"))
+        assert server.capacity == 2
+
 
 class TestProcessorSharing:
     def test_single_job_runs_at_full_rate(self):

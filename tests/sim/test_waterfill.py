@@ -122,6 +122,40 @@ class TestListFillMatchesDictFill:
         assert [r.hex() for r in waterfill(capacity, caps, weights)] == [
             r.hex() for r in expected]
 
+    _WEIGHTS = st.lists(_VALUES, min_size=1, max_size=60)
+
+    @given(st.floats(min_value=1e-6, max_value=256.0), _WEIGHTS,
+           st.floats(min_value=1.001, max_value=8.0))
+    def test_hex_equal_when_no_job_saturates(self, capacity, weights, slack):
+        # Every cap exceeds the whole capacity, so the first round's
+        # shares are the rates (the fused round's early return).
+        caps = [capacity * slack] * len(weights)
+        expected = _dict_waterfill(capacity, caps, weights)
+        assert all(rate < cap for rate, cap in zip(expected, caps))
+        assert [r.hex() for r in _fill(capacity, caps, weights)] == [
+            r.hex() for r in expected]
+
+    @given(st.floats(min_value=1.0, max_value=256.0), _WEIGHTS, _VALUES,
+           _WEIGHTS)
+    def test_hex_equal_when_a_job_saturates_in_a_later_round(
+            self, capacity, small, middle, large):
+        # The small jobs take a quarter of their first-round shares, so
+        # the middle job's share grows in the second round past a cap
+        # set between its two shares; the large jobs never saturate.
+        weights = small + [middle] + large
+        total = sum(weights)
+        small_caps = [capacity * w / total / 4 for w in small]
+        first = capacity * middle / total
+        second = (capacity - sum(small_caps)) * middle / (total - sum(small))
+        middle_cap = (first + second) / 2
+        caps = small_caps + [middle_cap] + [capacity * 10] * len(large)
+        expected = _dict_waterfill(capacity, caps, weights)
+        assert expected[len(small)] == middle_cap
+        assert [r.hex() for r in _fill(capacity, caps, weights)] == [
+            r.hex() for r in expected]
+        assert [r.hex() for r in waterfill(capacity, caps, weights)] == [
+            r.hex() for r in expected]
+
 
 class TestWaterfillServer:
     def test_cap_limits_single_job(self):
