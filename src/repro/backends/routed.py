@@ -215,8 +215,7 @@ class RoutedEngine:
         return result
 
     def run_transaction(self, demand: TransactionDemand) -> Generator:
-        result = yield from self.transaction_engine.run_transaction(demand)
-        return result
+        return self.transaction_engine.run_transaction(demand)
 
     def optimize(self, spec: QuerySpec, dop_hint: int = 0) -> OptimizedQuery:
         """Plan on the backend the router would pick, without recording a

@@ -76,10 +76,11 @@ class CheckpointWriter:
         if pages < 0:
             raise ConfigurationError("negative page count")
         self._dirty_bytes += pages * PAGE_SIZE
-        if self._work_gate is not None and not self._work_gate.triggered:
-            self._work_gate.trigger()
-        if self.backlogged:
-            gate: WaitEvent = self._sim.event()
+        work_gate = self._work_gate
+        if work_gate is not None and not work_gate._triggered:
+            work_gate.trigger()
+        if self._dirty_bytes >= self.backlog_limit_bytes:
+            gate = WaitEvent(self._sim)
             self._stalled.append(gate)
             yield gate
         return None

@@ -14,8 +14,8 @@ Two execution paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Generator, NamedTuple, Optional, Tuple
 
 from repro.calibration import INSTRUCTIONS_PER_COST_UNIT
 from repro.engine.bufferpool import BufferPool
@@ -52,8 +52,7 @@ class QueryDemand:
         return self.spill_write_bytes
 
 
-@dataclass(frozen=True)
-class ContentionPoint:
+class ContentionPoint(NamedTuple):
     """One critical section a transaction passes through."""
 
     wait_type: WaitType
@@ -61,8 +60,7 @@ class ContentionPoint:
     hold_seconds: float
 
 
-@dataclass(frozen=True)
-class TransactionDemand:
+class TransactionDemand(NamedTuple):
     """Resource demand vector for one OLTP transaction.
 
     ``latches`` are short critical sections released during execution
@@ -70,6 +68,9 @@ class TransactionDemand:
     update and held until the commit record is durable — which is why
     hot-row contention couples to log latency, and why spreading rows
     over a larger scale factor reduces LOCK waits (Table 3).
+
+    A named tuple: one is built per transaction, and a tuple is
+    immutable without paying a ``__setattr__`` per field.
     """
 
     name: str
@@ -249,34 +250,36 @@ class Executor:
         (charged as PAGEIOLATCH waits), then harden the commit record.
         Returns an :class:`ExecutionResult`.
         """
-        if self._locks is None:
+        locks = self._locks
+        if locks is None:
             raise SimulationError("transaction execution requires a lock manager")
-        start = self._sim.now
+        loop = self._sim.loop
+        start = loop._now
         lock_wait = 0.0
 
         # Short latch critical sections during execution.
         for point in demand.latches:
-            before = self._sim.now
-            yield from self._locks.critical_section(
+            before = loop._now
+            yield from locks.critical_section(
                 point.wait_type, point.slot, point.hold_seconds
             )
-            lock_wait += max(0.0, self._sim.now - before - point.hold_seconds)
+            lock_wait += max(0.0, loop._now - before - point.hold_seconds)
 
         yield from self._sqlos.run_transaction_cpu(demand.instructions)
 
         io_wait = 0.0
         if demand.page_reads > 0:
-            before = self._sim.now
+            before = loop._now
             yield from self._machine.ssd.read_pages(demand.page_reads, PAGE_SIZE)
-            io_wait = self._sim.now - before
-            self._locks.charge_io_latch(io_wait)
+            io_wait = loop._now - before
+            locks.charge_io_latch(io_wait)
 
         # Row locks: acquired for the update, held across the commit.
         held = []
         for point in demand.locks:
-            before = self._sim.now
-            yield from self._locks.acquire(point.wait_type, point.slot)
-            lock_wait += self._sim.now - before
+            before = loop._now
+            yield from locks.acquire(point.wait_type, point.slot)
+            lock_wait += loop._now - before
             held.append(point)
             if point.hold_seconds > 0:
                 yield Timeout(point.hold_seconds)
@@ -295,11 +298,10 @@ class Executor:
         if self._wal is not None and demand.log_bytes > 0:
             yield from self._wal.commit(demand.log_bytes)
         for point in reversed(held):
-            self._locks.release(point.wait_type, point.slot)
-        end = self._sim.now
-        return ExecutionResult(
-            name=demand.name, start=start, end=end, io_wait=io_wait, lock_wait=lock_wait
-        )
+            locks.release(point.wait_type, point.slot)
+        # Positional: keyword matching costs more than the rest of the
+        # constructor, once per transaction.
+        return ExecutionResult(demand.name, start, loop._now, io_wait, lock_wait)
 
     def _background_write(self, nbytes: float) -> Generator:
         yield from self._machine.ssd.write(nbytes)

@@ -79,11 +79,13 @@ class HotSlotArray:
             FcfsServer(sim, capacity=1, name=f"{name}[{i}]") for i in range(num_slots)
         ]
 
+    def server(self, slot_index: int) -> FcfsServer:
+        """The FCFS server behind *slot_index*."""
+        return self._slots[slot_index % self.num_slots]
+
     def acquire(self, slot_index: int) -> Generator:
         """Generator: acquire one slot (callers pick the index)."""
-        slot = self._slots[slot_index % self.num_slots]
-        yield from slot.acquire()
-        return None
+        return self._slots[slot_index % self.num_slots].acquire()
 
     def release(self, slot_index: int) -> None:
         self._slots[slot_index % self.num_slots].release()
@@ -104,6 +106,7 @@ class LockManager:
         latch_slots: int = 64,
     ):
         self._sim = sim
+        self._loop = sim.loop
         self.accounting = WaitAccounting()
         self.row_locks = HotSlotArray(sim, hot_rows, "lock")
         self.page_latches = HotSlotArray(sim, hot_pages, "pagelatch")
@@ -117,26 +120,30 @@ class LockManager:
     ) -> Generator:
         """Generator: acquire the slot, hold it, release, and account the
         queueing delay to *wait_type*."""
-        array = self._array_for(wait_type)
-        start = self._sim.now
-        yield from array.acquire(slot_index)
-        waited = self._sim.now - start
-        if waited > 0:
-            self.accounting.charge(wait_type, waited)
+        server = self._array_for(wait_type).server(slot_index)
+        if not server.try_acquire():
+            loop = self._loop
+            start = loop._now
+            yield from server.acquire()
+            waited = loop._now - start
+            if waited > 0:
+                self.accounting.charge(wait_type, waited)
         if hold_seconds > 0:
             yield Timeout(hold_seconds)
-        array.release(slot_index)
+        server.release()
         return None
 
     def acquire(self, wait_type: WaitType, slot_index: int) -> Generator:
         """Generator: acquire a slot without releasing (caller releases);
         queueing time is charged to *wait_type*."""
-        array = self._array_for(wait_type)
-        start = self._sim.now
-        yield from array.acquire(slot_index)
-        waited = self._sim.now - start
-        if waited > 0:
-            self.accounting.charge(wait_type, waited)
+        server = self._array_for(wait_type).server(slot_index)
+        if not server.try_acquire():
+            loop = self._loop
+            start = loop._now
+            yield from server.acquire()
+            waited = loop._now - start
+            if waited > 0:
+                self.accounting.charge(wait_type, waited)
         return None
 
     def release(self, wait_type: WaitType, slot_index: int) -> None:

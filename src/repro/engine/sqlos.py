@@ -191,10 +191,12 @@ class SqlOs:
         if self.shared_cpu_pool:
             yield from self.run_on_cpu(instructions, dop=1)
             return None
-        work = self.cpu_seconds(instructions)
-        yield from self.oltp_cpu.acquire()
+        work = instructions / self.per_core_ips
+        oltp_cpu = self.oltp_cpu
+        if not oltp_cpu.try_acquire():
+            yield from oltp_cpu.acquire()
         yield Timeout(work * self._oltp_rate_scale)
-        self.oltp_cpu.release()
+        oltp_cpu.release()
         self._oltp_work_done += work
         return None
 

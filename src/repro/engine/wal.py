@@ -102,12 +102,12 @@ class WriteAheadLog:
         """
         if log_bytes < 0:
             raise ConfigurationError("negative log size")
-        record = WalRecord(lsn=self._next_lsn, nbytes=log_bytes, txn_id=txn_id)
+        record = WalRecord(self._next_lsn, log_bytes, txn_id)
         self._next_lsn += 1
         self.total_log_bytes += log_bytes
         self._pending_bytes += log_bytes
         self._pending_records.append(record)
-        gate = self._sim.event()
+        gate = WaitEvent(self._sim)
         self._waiters.append(gate)
         if self._pending_bytes >= self.batch_bytes:
             self._start_flush()

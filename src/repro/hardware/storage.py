@@ -246,7 +246,7 @@ class _Transfer:
         self._device = device
         self._chunk_bytes = chunk_bytes
         self._remaining = nbytes
-        self.done: WaitEvent = sim.event()
+        self.done = WaitEvent(sim)
         self._next_chunk()
 
     def _next_chunk(self) -> None:

@@ -9,6 +9,21 @@ A *process* is a Python generator that yields *commands*:
 
 This mirrors the SimPy programming model but is self-contained (no external
 dependencies) and deterministic.
+
+Every OLTP transaction crosses this module several times, so the wake
+path is kept lean without changing a single event:
+
+* :meth:`Process._resume` dispatches a :class:`Timeout` or
+  :class:`WaitEvent` inline by *exact* type; a subclass of either, an
+  :class:`At` and a yielded :class:`Process` fall back to the
+  ``isinstance`` chain in :meth:`Process._dispatch`, which also rejects
+  anything else.
+* A timer wakes its process through one bound method,
+  :meth:`Process._fire` (for ``Timeout``, ``At`` and the
+  :meth:`Simulator.spawn_many` start train alike), not a fresh lambda
+  per yield.  The loop still allocates one ``Event`` per timer.
+* Hot paths here and in the engine read the clock as ``loop._now``
+  rather than through the :attr:`Simulator.now` property.
 """
 
 from __future__ import annotations
@@ -53,6 +68,8 @@ class WaitEvent:
     optional value.
     """
 
+    __slots__ = ("_sim", "_triggered", "_value", "_waiters")
+
     def __init__(self, simulator: "Simulator"):
         self._sim = simulator
         self._triggered = False
@@ -87,6 +104,7 @@ class Process:
 
     def __init__(self, simulator: "Simulator", generator: Generator, name: str = "proc"):
         self._sim = simulator
+        self._loop = simulator.loop
         self._gen = generator
         self.name = name
         self.alive = True
@@ -105,7 +123,11 @@ class Process:
         return self.error is not None
 
     def _start(self) -> None:
-        self._sim.loop.call_soon(self._resume, None)
+        self._loop.call_soon(self._resume, None)
+
+    def _fire(self, _event) -> None:
+        """Timer callback: resume with no value."""
+        self._resume(None)
 
     def _resume(self, value: Any) -> None:
         if not self.alive:
@@ -127,20 +149,29 @@ class Process:
                 f"raised in simulation process {self.name!r}"
             ]
             raise
-        self._dispatch(command)
+        kind = type(command)
+        if kind is Timeout:
+            self._loop.schedule_after(command.delay, self._fire)
+        elif kind is WaitEvent:
+            if command._triggered:
+                self._loop.call_soon(self._resume, command._value)
+            else:
+                command._waiters.append(self)
+        else:
+            self._dispatch(command)
 
     def _dispatch(self, command: Any) -> None:
         if isinstance(command, Timeout):
-            self._sim.loop.schedule_after(command.delay, lambda ev: self._resume(None))
+            self._loop.schedule_after(command.delay, self._fire)
         elif isinstance(command, WaitEvent):
             if command.triggered:
-                self._sim.loop.call_soon(self._resume, command.value)
+                self._loop.call_soon(self._resume, command.value)
             else:
                 command._add_waiter(self)
         elif isinstance(command, Process):
             self._dispatch(command.done)
         elif isinstance(command, At):
-            self._sim.loop.schedule_at(command.time, lambda ev: self._resume(None))
+            self._loop.schedule_at(command.time, self._fire)
         else:
             raise SimulationError(f"process {self.name!r} yielded unsupported command: {command!r}")
 
@@ -192,10 +223,8 @@ class Simulator:
             Process(self, gen, name=f"{name}-{index}")
             for index, gen in enumerate(generators)
         ]
-        now = self.loop.now
-        self.loop.schedule_batch(
-            (now, lambda ev, p=proc: p._resume(None), None) for proc in procs
-        )
+        now = self.loop._now
+        self.loop.schedule_batch((now, proc._fire, None) for proc in procs)
         return procs
 
     def event(self) -> WaitEvent:

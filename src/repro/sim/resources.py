@@ -32,6 +32,10 @@ class FcfsServer:
         yield from server.acquire()
         ...  # hold
         server.release()
+
+    A hot path writes ``if not server.try_acquire(): yield from
+    server.acquire()`` instead, which builds no generator when a slot is
+    free and nobody queues.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "fcfs"):
@@ -69,17 +73,31 @@ class FcfsServer:
         for _ in range(min(len(self._queue), max(0, self.capacity - self._in_use))):
             self._queue.popleft().trigger()
 
-    def acquire(self) -> Generator:
-        """Generator: suspends until a server slot is free."""
-        start = self._sim.now
+    def try_acquire(self) -> bool:
+        """Take a free slot at once if nobody queues; ``True`` on success.
+
+        The non-generator fast path of :meth:`acquire`, with the same
+        accounting (a zero wait).  On ``False`` nothing changed and the
+        caller falls back to ``yield from acquire()``.
+        """
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
-        else:
-            gate = self._sim.event()
-            self._queue.append(gate)
-            yield gate
-            self._in_use += 1
-        self.total_wait_time += self._sim.now - start
+            self.total_wait_time += 0.0
+            self.total_acquisitions += 1
+            return True
+        return False
+
+    def acquire(self) -> Generator:
+        """Generator: suspends until a server slot is free."""
+        if self.try_acquire():
+            return None
+        loop = self._sim.loop
+        start = loop._now
+        gate = WaitEvent(self._sim)
+        self._queue.append(gate)
+        yield gate
+        self._in_use += 1
+        self.total_wait_time += loop._now - start
         self.total_acquisitions += 1
         return None
 
@@ -251,11 +269,12 @@ class TokenBucket:
             self._tokens = left if left > 0.0 else 0.0
             on_grant()
             # A callback that queued more at this instant is served by
-            # the drain the queue would have continued with.
-            if queue:
-                self._drain()
-            else:
+            # the drain the queue would have continued with, unless its
+            # own consume already armed the head's timer.
+            if not queue:
                 self._in_flight = None
+            elif self._timer is None:
+                self._drain()
             return False
         self._tokens = tokens
         queue.append((nbytes, on_grant))
@@ -269,7 +288,7 @@ class TokenBucket:
 
     def take(self, nbytes: float) -> Generator:
         """Generator: suspends until *nbytes* of budget is granted."""
-        gate = self._sim.event()
+        gate = WaitEvent(self._sim)
         if self.consume(nbytes, gate.trigger):
             return None
         yield gate
@@ -315,6 +334,9 @@ class TokenBucket:
                     self._in_flight = (now, now + delay, nbytes)
                     self._timer = self._loop.schedule_after(delay, self._on_timer)
                     return
-            # ``on_grant`` may have changed the rate at this instant.
+            # ``on_grant`` may have consumed again and armed the head's
+            # timer, or changed the rate, at this instant.
+            if self._timer is not None:
+                return
             rate = self.rate
         self._in_flight = None

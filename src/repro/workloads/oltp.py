@@ -111,15 +111,16 @@ class OltpWorkloadBase(Workload):
         )
 
     def _client(self, engine, tracker, until, rng) -> Generator:
-        sim = engine.machine.sim
+        loop = engine.machine.sim.loop
         types = self.transaction_types()
         cdf = weight_cdf([t.weight for t in types])
-        while sim.now < until:
+        while loop._now < until:
             txn_type = types[draw_index(rng, cdf)]
             demand = self.build_demand(engine, txn_type, rng)
             result = yield from engine.run_transaction(demand)
-            tracker.record("txn", result.elapsed)
-            tracker.record(txn_type.name, result.elapsed)
+            elapsed = result.elapsed
+            tracker.record("txn", elapsed)
+            tracker.record(txn_type.name, elapsed)
         return None
 
     # demand construction ------------------------------------------------------------
@@ -134,34 +135,34 @@ class OltpWorkloadBase(Workload):
         expected_cold = txn_type.page_accesses * miss
         page_reads = float(rng.poisson(expected_cold)) if expected_cold > 0 else 0.0
 
-        locks: List[ContentionPoint] = []
-        latches: List[ContentionPoint] = []
+        locks: Tuple[ContentionPoint, ...] = ()
+        latches: Tuple[ContentionPoint, ...] = ()
         if txn_type.lock_probability > 0 and rng.random() < txn_type.lock_probability:
-            locks.append(
+            locks = (
                 ContentionPoint(
                     wait_type=WaitType.LOCK,
                     slot=_skewed_slot(rng, engine.locks.row_locks.num_slots),
                     hold_seconds=txn_type.lock_hold_ms / 1000.0,
-                )
+                ),
             )
         if (
             txn_type.pagelatch_probability > 0
             and rng.random() < txn_type.pagelatch_probability
         ):
-            latches.append(
+            latches = (
                 ContentionPoint(
                     wait_type=WaitType.PAGELATCH,
                     slot=_skewed_slot(rng, engine.locks.page_latches.num_slots),
                     hold_seconds=txn_type.pagelatch_hold_ms / 1000.0,
-                )
+                ),
             )
         if txn_type.latch_probability > 0 and rng.random() < txn_type.latch_probability:
-            latches.append(
+            latches += (
                 ContentionPoint(
                     wait_type=WaitType.LATCH,
                     slot=int(rng.integers(0, engine.locks.latches.num_slots)),
                     hold_seconds=txn_type.latch_hold_ms / 1000.0,
-                )
+                ),
             )
 
         # Instruction budget varies transaction to transaction.
@@ -171,8 +172,8 @@ class OltpWorkloadBase(Workload):
             instructions=instructions,
             page_reads=page_reads,
             log_bytes=txn_type.log_bytes,
-            latches=tuple(latches),
-            locks=tuple(locks),
+            latches=latches,
+            locks=locks,
             dirty_page_writes=txn_type.dirty_page_writes,
         )
 

@@ -183,6 +183,27 @@ class TestTransactionExecution:
         sim.run()
         assert engine.locks.accounting.wait_time[WaitType.LOCK] > 0
 
+    def test_demand_builds_from_keywords_with_defaults(self):
+        demand = TransactionDemand(
+            name="txn", instructions=1e6, page_reads=0.0, log_bytes=KIB)
+        assert demand == ("txn", 1e6, 0.0, KIB, (), (), 0.0)
+        assert TransactionDemand._fields == (
+            "name", "instructions", "page_reads", "log_bytes", "latches",
+            "locks", "dirty_page_writes")
+        point = ContentionPoint(wait_type=WaitType.LATCH, slot=2,
+                                hold_seconds=0.5)
+        assert (point.wait_type, point.slot, point.hold_seconds) == (
+            WaitType.LATCH, 2, 0.5)
+
+    def test_demand_rejects_attribute_assignment(self):
+        demand = TransactionDemand("txn", 1e6, 0.0, KIB)
+        with pytest.raises(AttributeError):
+            demand.instructions = 2e6
+        with pytest.raises(AttributeError):
+            demand.extra = 1
+        with pytest.raises(AttributeError):
+            ContentionPoint(WaitType.LOCK, 0, 0.0).slot = 1
+
 
 class TestPlanAdaptation:
     def test_q20_plan_changes_with_maxdop_at_sf300(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.process import At, Simulator, Timeout
+from repro.sim.process import At, Simulator, Timeout, WaitEvent
 
 
 def test_timeout_advances_clock():
@@ -216,3 +216,87 @@ def test_at_nan_raises_and_leaves_the_clock():
     with pytest.raises(SimulationError, match="time=nan"):
         sim.run()
     assert sim.now == 1.0
+
+
+class TestWakePath:
+    """``_resume`` dispatches exact ``Timeout``/``WaitEvent`` inline;
+    everything else goes through the ``isinstance`` fallback."""
+
+    def test_timeout_subclass_resumes_after_its_delay(self):
+        class Sleep(Timeout):
+            __slots__ = ()
+
+        sim = Simulator()
+        woke = []
+
+        def proc():
+            yield Sleep(2.5)
+            woke.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run()
+        assert woke == [2.5]
+
+    @pytest.mark.parametrize("trigger_first", [False, True])
+    def test_wait_event_subclass_resumes_with_its_value(self, trigger_first):
+        class Gate(WaitEvent):
+            __slots__ = ()
+
+        sim = Simulator()
+        gate = Gate(sim)
+        got = []
+
+        def waiter():
+            got.append((yield gate))
+
+        if trigger_first:
+            gate.trigger("v")
+        sim.spawn(waiter())
+        if not trigger_first:
+            sim.loop.schedule_at(1.0, lambda _ev: gate.trigger("v"))
+        sim.run()
+        assert got == ["v"]
+
+    def test_yielded_process_resumes_with_its_result(self):
+        sim = Simulator()
+        got = []
+
+        def child():
+            yield Timeout(1.0)
+            return 42
+
+        def parent():
+            got.append((yield sim.spawn(child())))
+            got.append(sim.now)
+
+        sim.spawn(parent())
+        sim.run()
+        assert got == [42, 1.0]
+
+    def test_unsupported_command_names_the_process(self):
+        sim = Simulator()
+
+        def proc():
+            yield 3.0
+
+        sim.spawn(proc(), name="worker-7")
+        with pytest.raises(SimulationError, match="'worker-7'.*unsupported"):
+            sim.run()
+
+    def test_timers_wake_through_the_bound_fire_method(self):
+        sim = Simulator()
+
+        def proc():
+            yield Timeout(1.0)
+            yield At(3.0)
+
+        started = sim.spawn(proc(), name="timed")
+        batch = sim.spawn_many([proc()], name="batch")
+        callbacks = [entry[2].callback for entry in sim.loop._heap]
+        assert callbacks == [batch[0]._fire]   # the start train
+        sim.loop.step()                        # start "timed"
+        callbacks = sorted((entry[1], entry[2].callback)
+                           for entry in sim.loop._heap)
+        assert [cb for _, cb in callbacks] == [batch[0]._fire, started._fire]
+        sim.run()
+        assert sim.now == 3.0

@@ -9,6 +9,10 @@ at the instant of a grant, both queued through ``call_soon`` and made
 from inside the grant callback — and requires the same grants at the
 same instants and the same bucket state after every event, compared with
 ``==``.
+
+Both buckets stop draining once a grant callback's own consume has armed
+the head's timer, so a nested request that has to wait gets one timer,
+not two.
 """
 
 import math
@@ -98,11 +102,15 @@ class _ReferenceTokenBucket:
             if self.rate is None:
                 self._queue.popleft()
                 on_grant()
+                if self._timer is not None:
+                    return
                 continue
             if self._tokens >= nbytes - max(1.0, nbytes * 1e-9):
                 self._tokens = max(0.0, self._tokens - nbytes)
                 self._queue.popleft()
                 on_grant()
+                if self._timer is not None:
+                    return
                 continue
             deficit = nbytes - self._tokens
             delay = max(deficit / self.rate, 1e-9)
@@ -202,6 +210,26 @@ class TestTokenBucketMatchesReference:
         grants, _ = _drive(TokenBucket, 100.0, 30.0, ops)
         assert grants == [(0, 0.0), (2, 0.05)]
         assert _drive(_ReferenceTokenBucket, 100.0, 30.0, ops)[0] == grants
+
+    @pytest.mark.parametrize("bucket_cls", [TokenBucket, _ReferenceTokenBucket])
+    def test_nested_consume_that_waits_arms_one_timer(self, bucket_cls):
+        # The grant callback of an immediate 5-byte consume asks for 20
+        # bytes the empty bucket cannot cover: one timer, one grant.
+        sim = Simulator()
+        bucket = bucket_cls(sim, 10.0, burst=5.0)
+        grants = []
+
+        def second():
+            grants.append(("second", sim.now))
+
+        def first():
+            grants.append(("first", sim.now))
+            bucket.consume(20.0, second)
+
+        bucket.consume(5.0, first)
+        assert len(sim.loop._heap) == 1
+        sim.run()
+        assert grants == [("first", 0.0), ("second", 2.0)]
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejected_rate_changes_nothing(self, rate):

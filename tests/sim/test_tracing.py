@@ -110,3 +110,7 @@ def test_ready_items_are_traced_one_per_step():
     labels = [record.label for record in tracer.records]
     assert labels[:4] == ["Process(proc)._resume"] * 4
     assert labels.count("Process(proc)._resume") == 7  # starts and wakes
+    # Timer wakes go through the process's bound ``_fire``, so they carry
+    # the process name instead of an anonymous lambda.
+    assert labels.count("Process(proc)._fire") == 4  # 1 + 3 timeouts
+    assert not any("<lambda>" in label for label in labels)
