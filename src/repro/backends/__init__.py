@@ -1,4 +1,4 @@
-"""Engine backend personalities and the resource-aware workload router.
+"""Engine backend personalities.
 
 Importing this package registers every built-in personality:
 
@@ -7,55 +7,32 @@ Importing this package registers every built-in personality:
   weak point access, patient grants;
 * ``elastic-serverless`` — cold starts, autoscaled per-query cores,
   pay-per-grant memory, aggressive spill.
+
+A run uses exactly one personality (``ExperimentConfig.backend``); the
+fleet (:mod:`repro.fleet.cluster`) cycles them across its shards.
 """
 
 from repro.backends.base import (
     BACKENDS,
     DEFAULT_BACKEND,
-    DEFAULT_ROUTER_BACKENDS,
-    BackendResourceProfile,
     EngineBackend,
     backend_names,
     make_backend,
     register_backend,
 )
 from repro.backends.columnstore import ColumnstoreDssBackend
-from repro.backends.router import (
-    POLICY_COST_SCORED,
-    POLICY_RULE_BASED,
-    ROUTER_POLICIES,
-    DemandEstimate,
-    Router,
-    estimate_demand,
-)
-from repro.backends.routed import (
-    RoutedEngine,
-    build_routed_engine,
-    partition_allocation,
-)
 from repro.backends.rowstore import RowstoreOltpBackend
 from repro.backends.serverless import ElasticServerlessBackend, ServerlessEngine
 
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "DEFAULT_ROUTER_BACKENDS",
-    "BackendResourceProfile",
     "ColumnstoreDssBackend",
-    "DemandEstimate",
     "ElasticServerlessBackend",
     "EngineBackend",
-    "POLICY_COST_SCORED",
-    "POLICY_RULE_BASED",
-    "ROUTER_POLICIES",
-    "RoutedEngine",
-    "Router",
     "RowstoreOltpBackend",
     "ServerlessEngine",
     "backend_names",
-    "build_routed_engine",
-    "estimate_demand",
     "make_backend",
-    "partition_allocation",
     "register_backend",
 ]

@@ -1,13 +1,12 @@
 """Engine backend personalities: one engine recipe per consolidation target.
 
 The paper's thesis is that OLTP, DSS, and HTAP workloads have sharply
-different resource sensitivities — which is exactly the information a
-consolidation layer needs to place queries on the *right* engine.  An
-:class:`EngineBackend` captures one engine *personality*: a named recipe
-that turns (machine, workload, allocation) into a configured
-:class:`~repro.engine.engine.SqlEngine`, with its own cost model,
-execution-characteristic transform, and RESOURCE_SEMAPHORE policy, all
-riding the shared :mod:`repro.hardware` substrate.
+different resource sensitivities.  An :class:`EngineBackend` captures
+one engine *personality*: a named recipe that turns (machine, workload,
+allocation) into a configured :class:`~repro.engine.engine.SqlEngine`,
+with its own cost model, execution-characteristic transform, and
+RESOURCE_SEMAPHORE policy, all riding the shared :mod:`repro.hardware`
+substrate.
 
 The default hooks reproduce the historical monolithic construction from
 :class:`repro.core.experiment.Experiment` exactly — the ``rowstore-oltp``
@@ -20,8 +19,6 @@ Backends self-register into :data:`BACKENDS` via
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Type
 
 from repro.engine.engine import SqlEngine
@@ -38,36 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - hint-only (avoids a repro.core cycle)
 #: The personality the monolithic engine became; every default path uses it.
 DEFAULT_BACKEND = "rowstore-oltp"
 
-#: Default fleet for routed runs, in routing-priority order: the seed
-#: engine first (the rule-based fallback target), then the specialists.
-DEFAULT_ROUTER_BACKENDS = (
-    "rowstore-oltp", "columnstore-dss", "elastic-serverless"
-)
 
-
-@dataclass(frozen=True)
-class BackendResourceProfile:
-    """Coarse resource-delivery scores the router keys placement on.
-
-    Scores are relative to the rowstore baseline (1.0); they summarize
-    what the personality's cost model implies without re-deriving it per
-    query.  ResQ (PAPERS.md) motivates keying placement on predicted
-    resource profiles rather than workload names.
-    """
-
-    #: Relative sequential-scan throughput (batch mode >> row-at-a-time).
-    scan_bandwidth_score: float = 1.0
-    #: Relative point-access throughput (B-tree seeks vs segment reads).
-    point_lookup_score: float = 1.0
-    #: Fraction of ideal speedup retained at deep MAXDOP.
-    parallel_efficiency: float = 0.6
-    #: How gracefully the backend sheds memory pressure (spill quality).
-    memory_elasticity: float = 0.3
-    #: Expected provisioning delay before a cold backend serves (§cold start).
-    startup_seconds: float = 0.0
-
-
-class EngineBackend(abc.ABC):
+class EngineBackend:
     """One engine personality: a named engine-construction recipe.
 
     Subclasses override the narrow hooks (cost model, execution
@@ -114,10 +83,6 @@ class EngineBackend(abc.ABC):
         """Extra :class:`SqlEngine` keyword arguments (workload's plus
         any personality-specific ones)."""
         return dict(workload.engine_parameters())
-
-    @abc.abstractmethod
-    def resource_profile(self) -> BackendResourceProfile:
-        """The coarse scores the router places queries with."""
 
     # -- construction --------------------------------------------------------
 

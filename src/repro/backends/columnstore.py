@@ -26,11 +26,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from repro.backends.base import (
-    BackendResourceProfile,
-    EngineBackend,
-    register_backend,
-)
+from repro.backends.base import EngineBackend, register_backend
 from repro.engine.optimizer.cost_model import CostModel
 from repro.engine.resource_governor import ResourceGovernor
 from repro.engine.sqlos import ExecutionCharacteristics
@@ -100,13 +96,4 @@ class ColumnstoreDssBackend(EngineBackend):
             governor,
             grant_timeout_s=DEFAULT_GRANT_TIMEOUT_S,
             small_query_bypass_bytes=DEFAULT_SMALL_QUERY_BYPASS_BYTES,
-        )
-
-    def resource_profile(self) -> BackendResourceProfile:
-        return BackendResourceProfile(
-            scan_bandwidth_score=3.0,
-            point_lookup_score=0.15,
-            parallel_efficiency=0.9,
-            memory_elasticity=0.5,
-            startup_seconds=0.0,
         )

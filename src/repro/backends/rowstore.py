@@ -11,11 +11,7 @@ construction is bit-identical to the historical
 
 from __future__ import annotations
 
-from repro.backends.base import (
-    BackendResourceProfile,
-    EngineBackend,
-    register_backend,
-)
+from repro.backends.base import EngineBackend, register_backend
 
 
 @register_backend
@@ -27,12 +23,3 @@ class RowstoreOltpBackend(EngineBackend):
         "the seed engine: B-tree point access, row-mode scans, "
         "calibrated default cost model"
     )
-
-    def resource_profile(self) -> BackendResourceProfile:
-        return BackendResourceProfile(
-            scan_bandwidth_score=1.0,
-            point_lookup_score=1.0,
-            parallel_efficiency=0.6,
-            memory_elasticity=0.3,
-            startup_seconds=0.0,
-        )

@@ -27,11 +27,7 @@ import math
 from dataclasses import replace
 from typing import TYPE_CHECKING, Generator
 
-from repro.backends.base import (
-    BackendResourceProfile,
-    EngineBackend,
-    register_backend,
-)
+from repro.backends.base import EngineBackend, register_backend
 from repro.engine.engine import SqlEngine
 from repro.engine.executor import TransactionDemand
 from repro.engine.optimizer.queryspec import QuerySpec
@@ -160,13 +156,4 @@ class ElasticServerlessBackend(EngineBackend):
             governor,
             grant_timeout_s=DEFAULT_GRANT_TIMEOUT_S,
             small_query_bypass_bytes=DEFAULT_SMALL_QUERY_BYPASS_BYTES,
-        )
-
-    def resource_profile(self) -> BackendResourceProfile:
-        return BackendResourceProfile(
-            scan_bandwidth_score=0.8,
-            point_lookup_score=0.7,
-            parallel_efficiency=0.7,
-            memory_elasticity=1.0,
-            startup_seconds=COLD_START_SECONDS,
         )

@@ -9,9 +9,6 @@ Usage::
     python -m repro faults --cache-dir /tmp/faults-demo
     python -m repro admission --oversub 1,4,16 --grant-timeout 30
     python -m repro run tpch 10 --backend columnstore-dss
-    python -m repro run tpch 10 --router cost-scored
-    python -m repro route fig2 --policy rule-based
-    python -m repro route admission
     python -m repro chaos --seed 1 --scenario failover
     python -m repro chaos --seeds 1,2,3 --scenario hedging --compare-hedging
     python -m repro backends
@@ -105,36 +102,13 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_options(parser: argparse.ArgumentParser) -> None:
-    """Engine-personality knobs shared by run/sweep/route."""
+    """The engine-personality knob shared by run/sweep."""
     from repro.backends import DEFAULT_BACKEND, backend_names
 
     parser.add_argument(
         "--backend", choices=backend_names(), default=DEFAULT_BACKEND,
         help="engine personality to run on (default: %(default)s)",
     )
-    parser.add_argument(
-        "--router", choices=("rule-based", "cost-scored"), default=None,
-        metavar="POLICY",
-        help="route queries across a multi-backend fleet with this policy "
-        "(rule-based or cost-scored) instead of a single --backend; "
-        "also accepts always-<backend> programmatically",
-    )
-    parser.add_argument(
-        "--router-backends", default=None, metavar="B1,B2,...",
-        help="comma-separated fleet for --router (default: all registered "
-        "personalities)",
-    )
-
-
-def _resolve_backend_spec(args):
-    """(backend, router, router_backends) tuple from the shared flags."""
-    fleet = ()
-    if getattr(args, "router_backends", None):
-        fleet = tuple(
-            name.strip() for name in args.router_backends.split(",")
-            if name.strip()
-        )
-    return args.backend, args.router, fleet
 
 
 def _resolve_policy(args):
@@ -256,48 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     admission.add_argument("--duration-scale", type=float, default=0.4)
     admission.add_argument("--seed", type=int, default=0)
 
-    route = sub.add_parser(
-        "route",
-        help="cross-backend comparison: every personality plus the router",
-        description="Re-runs a paper grid once per engine personality and "
-        "once through the resource-aware router, printing the side-by-side "
-        "comparison.  'fig2' sweeps the core-count axis; 'admission' "
-        "re-runs the §10 overload grid and checks the router floor "
-        "(the routed fleet must never do worse than the worst single "
-        "backend on per-stream throughput).",
-    )
-    route.add_argument("target", choices=("fig2", "admission"))
-    route.add_argument("--workload", choices=sorted(WORKLOADS), default="tpch",
-                       help="workload for fig2 (default: tpch)")
-    route.add_argument("--scale-factor", type=int, default=10)
-    route.add_argument("--policy", choices=("rule-based", "cost-scored"),
-                       default="rule-based",
-                       help="router policy to compare (default: rule-based)")
-    route.add_argument("--backends", default=None, metavar="B1,B2,...",
-                       help="comma-separated fleet (default: all registered "
-                       "personalities)")
-    route.add_argument("--cores", default=None, metavar="C1,C2,...",
-                       help="fig2 core axis (default: 4,8,16,32; routed runs "
-                       "need one core and 2 MB LLC per backend)")
-    route.add_argument("--oversub", default="1,4", metavar="L1,L2,...",
-                       help="admission oversubscription levels (default: 1,4)")
-    route.add_argument(
-        "--admission-policy", choices=("immediate", "serialized", "queued"),
-        action="append", default=None, dest="admission_policies",
-        help="admission policy to include (repeatable; default: "
-        "immediate and queued)",
-    )
-    route.add_argument("--duration-scale", type=float, default=None,
-                       help="measurement-window scale (default: 0.25 for "
-                       "fig2, 0.1 for admission)")
-    route.add_argument("--seed", type=int, default=0)
-    route.add_argument("--grant-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="grant-queue timeout for the queued admission "
-                       "policy (default: 30)")
-    _add_runner_options(route)
-    _add_supervision_options(route)
-
     chaos = sub.add_parser(
         "chaos",
         help="run a seeded chaos schedule against a replicated fleet",
@@ -392,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        "full report) for resume")
 
     sub.add_parser(
-        "backends", help="list engine personalities and their profiles"
+        "backends", help="list engine personalities"
     )
 
     whatif = sub.add_parser(
@@ -445,10 +377,8 @@ def _cmd_run(args) -> int:
         on_grant_timeout=args.on_grant_timeout,
     )
     duration = args.duration or duration_for(args.workload, args.scale_factor)
-    backend, router, fleet = _resolve_backend_spec(args)
     m = run_experiment(args.workload, args.scale_factor, allocation=allocation,
-                       duration=duration, seed=args.seed,
-                       backend=backend, router=router, router_backends=fleet)
+                       duration=duration, seed=args.seed, backend=args.backend)
     rows = [
         ("primary metric", m.primary_metric),
         ("MPKI", m.mpki),
@@ -476,12 +406,6 @@ def _cmd_run(args) -> int:
         title=f"{args.workload} SF={args.scale_factor} on {m.backend} "
         f"({duration:.0f}s simulated)",
     ))
-    if m.router_policy is not None:
-        placements = ", ".join(
-            f"{name}={count}" for name, count in sorted(m.router_decisions.items())
-        )
-        print(f"router decisions: {placements} "
-              f"(fallbacks: {m.router_fallbacks})")
     return 0
 
 
@@ -496,7 +420,7 @@ def _cmd_sweep(args) -> int:
                             duration_scale=args.duration_scale)
         xs = list(LLC_SWEEP_MB)
         x_label = "llc_mb"
-    configs = on_backend(configs, *_resolve_backend_spec(args))
+    configs = on_backend(configs, args.backend)
     cache = _resolve_cache(args)
     # Under on_error="raise" the supervisor raises instead of leaving a
     # hole, so only skip/collect can reach the hole report below.
@@ -671,116 +595,12 @@ def _cmd_admission(args) -> int:
     return 0 if monotone else 1
 
 
-def _cmd_route(args) -> int:
-    """Cross-backend comparison tables (greppable, like faults/admission).
-
-    The CI router matrix asserts on ``route-complete:`` and
-    ``router-floor:`` markers.
-    """
-    from repro.backends import DEFAULT_ROUTER_BACKENDS
-    from repro.backends.compare import (
-        ROUTE_CORE_AXIS,
-        compare_admission,
-        compare_fig2,
-    )
-
-    fleet = DEFAULT_ROUTER_BACKENDS
-    if args.backends:
-        fleet = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-
-    if args.target == "fig2":
-        cores = ROUTE_CORE_AXIS
-        if args.cores:
-            try:
-                cores = tuple(int(c) for c in args.cores.split(",") if c.strip())
-            except ValueError:
-                print(f"invalid --cores list: {args.cores!r}", file=sys.stderr)
-                return 2
-        cache = _resolve_cache(args)
-        figure = compare_fig2(
-            workload=args.workload,
-            scale_factor=args.scale_factor,
-            cores=cores,
-            duration_scale=args.duration_scale or 0.25,
-            backends=fleet,
-            policy=args.policy,
-            jobs=args.jobs,
-            cache=cache,
-            supervision=_resolve_policy(args),
-        )
-        print(format_series(
-            "cores", list(figure.xs),
-            {label: [m.primary_metric for m in figure.series[label]]
-             for label in figure.labels},
-            title=f"{figure.workload} SF={figure.scale_factor}: core sweep "
-            f"per backend (primary metric)",
-        ))
-        for label, totals in figure.routing_summary().items():
-            placements = ", ".join(f"{n}={c}" for n, c in sorted(totals.items()))
-            fallbacks = sum(m.router_fallbacks for m in figure.series[label])
-            print(f"{label} decisions: {placements} (fallbacks: {fallbacks})")
-        _print_cache_stats(cache)
-        points = len(figure.xs) * len(figure.labels)
-        print(f"route-complete: fig2 {points} points")
-        return 0
-
-    policies = tuple(args.admission_policies or ("immediate", "queued"))
-    try:
-        levels = tuple(int(x) for x in args.oversub.split(",") if x.strip())
-    except ValueError:
-        print(f"invalid --oversub list: {args.oversub!r}", file=sys.stderr)
-        return 2
-    comparison = compare_admission(
-        scale_factor=args.scale_factor,
-        oversubscription=levels,
-        policies=policies,
-        duration_scale=args.duration_scale or 0.1,
-        seed=args.seed,
-        grant_timeout_s=args.grant_timeout,
-        backends=fleet,
-        policy=args.policy,
-    )
-    rows = []
-    for label in comparison.labels:
-        for p in comparison.sweeps[label].points:
-            rows.append((label, p.policy, f"{p.oversubscription}x", p.streams,
-                         f"{p.qps:.4f}", f"{p.per_stream_qps:.5f}",
-                         p.grant_waits, p.grant_degrades))
-    print(format_table(
-        ["backend", "policy", "oversub", "streams", "QPS", "QPS/stream",
-         "waits", "degrades"],
-        rows,
-        title=f"Admission policies per backend, TPC-H "
-        f"SF={args.scale_factor}",
-    ))
-    for violation in comparison.floor_violations():
-        print(f"floor violation: {violation}")
-    total = sum(len(s.points) for s in comparison.sweeps.values())
-    print(f"route-complete: admission {total} points")
-    print(f"router-floor: {'ok' if comparison.router_floor_ok else 'VIOLATED'}")
-    return 0 if comparison.router_floor_ok else 1
-
-
 def _cmd_backends(_args) -> int:
-    from repro.backends import backend_names, make_backend
+    from repro.backends import BACKENDS, backend_names
 
-    rows = []
-    for name in backend_names():
-        profile = make_backend(name).resource_profile()
-        rows.append((
-            name,
-            f"{profile.scan_bandwidth_score:.2f}",
-            f"{profile.point_lookup_score:.2f}",
-            f"{profile.parallel_efficiency:.2f}",
-            f"{profile.memory_elasticity:.2f}",
-            f"{profile.startup_seconds:.2f}",
-        ))
-    print(format_table(
-        ["backend", "scan", "point", "parallel", "elastic", "startup s"],
-        rows,
-        title="Engine personalities (resource profiles)",
-    ))
-    print("router policies: rule-based, cost-scored, always-<backend>")
+    rows = [(name, BACKENDS[name].description) for name in backend_names()]
+    print(format_table(["backend", "description"], rows,
+                       title="Engine personalities"))
     return 0
 
 
@@ -1035,7 +855,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": _cmd_sweep,
         "faults": _cmd_faults,
         "admission": _cmd_admission,
-        "route": _cmd_route,
         "chaos": _cmd_chaos,
         "fleet": _cmd_fleet,
         "backends": _cmd_backends,

@@ -37,9 +37,8 @@ the run must complete without unhandled exceptions at every level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.backends import DEFAULT_BACKEND
 from repro.core.experiment import ExperimentConfig, Experiment
 from repro.core.knobs import ResourceAllocation
 from repro.core.measurement import Measurement
@@ -167,8 +166,6 @@ class AdmissionPolicySweep:
     scale_factor: int
     duration: float
     points: Tuple[AdmissionPolicyPoint, ...]
-    #: Engine personality the grid ran on (or "router:<policy>").
-    backend: str = DEFAULT_BACKEND
 
     def points_for(self, policy: str) -> Tuple[AdmissionPolicyPoint, ...]:
         return tuple(
@@ -199,9 +196,6 @@ def _sweep_point(
     duration: float,
     seed: int,
     grant_timeout_s: float,
-    backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> AdmissionPolicyPoint:
     streams = base_streams * oversubscription
     measurement: Measurement = Experiment(
@@ -212,9 +206,6 @@ def _sweep_point(
             duration=duration,
             seed=seed,
             workload_kwargs={"streams": streams},
-            backend=backend,
-            router=router,
-            router_backends=tuple(router_backends),
         )
     ).run()
     return AdmissionPolicyPoint(
@@ -238,17 +229,11 @@ def sweep_admission_policies(
     duration_scale: float = 0.4,
     seed: int = 0,
     grant_timeout_s: float = 30.0,
-    backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> AdmissionPolicySweep:
     """Run the §10-style overload grid: policies x oversubscription.
 
     Levels must be positive and are swept in ascending order so the
     returned points line up with the monotone-degradation ladder.
-    ``backend``/``router`` re-target the whole grid at an engine
-    personality or a routed fleet (the cross-backend overload study
-    behind ``repro route admission``).
     """
     levels = sorted(set(int(level) for level in oversubscription))
     if not levels or levels[0] < 1:
@@ -262,8 +247,7 @@ def sweep_admission_policies(
     duration = duration_for("tpch", scale_factor, duration_scale)
     points = tuple(
         _sweep_point(policy, level, scale_factor, base_streams, duration,
-                     seed, grant_timeout_s, backend=backend, router=router,
-                     router_backends=router_backends)
+                     seed, grant_timeout_s)
         for policy in policies
         for level in levels
     )
@@ -272,5 +256,4 @@ def sweep_admission_policies(
         scale_factor=scale_factor,
         duration=duration,
         points=points,
-        backend=("router:" + router) if router is not None else backend,
     )

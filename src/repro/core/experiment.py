@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.backends import (
-    DEFAULT_BACKEND,
-    DEFAULT_ROUTER_BACKENDS,
-    build_routed_engine,
-    make_backend,
-)
+from repro.backends import DEFAULT_BACKEND, make_backend
 from repro.calibration import DEFAULT_MEASUREMENT_SECONDS
 from repro.core.knobs import ResourceAllocation
 from repro.core.measurement import Measurement
@@ -48,10 +43,8 @@ class ExperimentConfig:
     key — so a faulted run never aliases a fault-free one.
 
     ``backend`` names the engine personality to run on
-    (:mod:`repro.backends`); ``router`` switches the run to a routed
-    multi-backend fleet under the named placement policy, over
-    ``router_backends`` (the default fleet when empty).  Both are part
-    of the result-cache key, so cross-backend runs can never collide.
+    (:mod:`repro.backends`).  It is part of the result-cache key, so
+    runs on different personalities can never collide.
 
     ``arrival`` switches the run from closed-loop clients to an
     open-loop arrival process
@@ -70,8 +63,6 @@ class ExperimentConfig:
     workload_kwargs: Dict = field(default_factory=dict)
     faults: Tuple[FaultSpec, ...] = ()
     backend: str = DEFAULT_BACKEND
-    router: Optional[str] = None
-    router_backends: Tuple[str, ...] = ()
     arrival: Optional[ArrivalSpec] = None
 
     def __post_init__(self):
@@ -85,14 +76,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "ExperimentConfig.scale_factor must be >= 1, "
                 f"got {self.scale_factor!r}")
-
-    @property
-    def routed(self) -> bool:
-        return self.router is not None
-
-    @property
-    def effective_router_backends(self) -> Tuple[str, ...]:
-        return self.router_backends or DEFAULT_ROUTER_BACKENDS
 
 
 class Experiment:
@@ -108,14 +91,6 @@ class Experiment:
 
     def _build_engine(self, machine: Machine, workload: Workload) -> SqlEngine:
         config = self.config
-        if config.routed:
-            return build_routed_engine(
-                machine,
-                workload,
-                config.allocation,
-                config.effective_router_backends,
-                config.router,
-            )
         backend = make_backend(config.backend)
         return backend.build_engine(machine, workload, config.allocation)
 
@@ -129,11 +104,6 @@ class Experiment:
         injector = None
         sim_faults = simulation_faults(config.faults)
         if sim_faults:
-            if config.routed:
-                raise ConfigurationError(
-                    "simulation fault injection targets one engine "
-                    "instance; routed multi-backend runs do not support it"
-                )
             from repro.faults.injector import FaultInjector
 
             injector = FaultInjector(machine, engine, faults=sim_faults)
@@ -164,13 +134,7 @@ class Experiment:
         secondary = None
         if isinstance(workload, HtapWorkload):
             secondary = workload.analytics_qph(tracker, config.duration)
-        if config.routed:
-            routing = engine.router.summary()
-            backend_label = "router:" + config.router
-        else:
-            routing = {}
-            backend_label = config.backend
-        return Measurement(
+        measurement = Measurement(
             workload=config.workload,
             scale_factor=config.scale_factor,
             allocation=config.allocation,
@@ -191,17 +155,17 @@ class Experiment:
             grant_bypasses=semaphore["grant_bypasses"],
             grant_throttles=semaphore["grant_throttles"],
             grant_queue_peak=semaphore["grant_queue_peak"],
-            backend=backend_label,
-            router_policy=config.router,
-            router_decisions=dict(routing.get("router_decisions", {})),
-            router_fallbacks=int(routing.get("router_fallbacks", 0)),
-            router_reroutes=int(routing.get("router_reroutes", 0)),
+            backend=config.backend,
             offered_tps=(config.arrival.offered_tps
                          if config.arrival is not None else 0.0),
             arrival_sheds=(driver.result.dropped if driver is not None else 0),
             sheds_by_tenant=(dict(driver.result.dropped_by_tenant)
                              if driver is not None else {}),
         )
+        # Suspended clients and the engine reference each other; closing
+        # them lets reference counting free the run as soon as it returns.
+        machine.sim.close()
+        return measurement
 
     def _collect_plan_signatures(
         self, engine: SqlEngine, workload: Workload
@@ -236,8 +200,6 @@ def run_experiment(
     seed: int = 0,
     faults: Tuple[FaultSpec, ...] = (),
     backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
     **workload_kwargs,
 ) -> Measurement:
     """Convenience wrapper: run one experiment and return its measurement."""
@@ -250,7 +212,5 @@ def run_experiment(
         workload_kwargs=dict(workload_kwargs),
         faults=tuple(faults),
         backend=backend,
-        router=router,
-        router_backends=tuple(router_backends),
     )
     return Experiment(config).run()

@@ -81,26 +81,8 @@ class ResourceAllocation:
     def with_maxdop(self, max_dop: int) -> "ResourceAllocation":
         return replace(self, max_dop=max_dop)
 
-    def with_read_limit(self, limit: Optional[float]) -> "ResourceAllocation":
-        return replace(self, read_bw_limit=limit)
-
-    def with_write_limit(self, limit: Optional[float]) -> "ResourceAllocation":
-        return replace(self, write_bw_limit=limit)
-
     def with_grant_percent(self, percent: float) -> "ResourceAllocation":
         return replace(self, grant_percent=percent)
-
-    def with_grant_timeout(self, timeout_s: Optional[float]) -> "ResourceAllocation":
-        return replace(self, grant_timeout_s=timeout_s)
-
-    def with_small_query_bypass(self, nbytes: float) -> "ResourceAllocation":
-        return replace(self, small_query_bypass_bytes=nbytes)
-
-    def with_max_queue_depth(self, depth: Optional[int]) -> "ResourceAllocation":
-        return replace(self, max_queue_depth=depth)
-
-    def with_on_grant_timeout(self, policy: str) -> "ResourceAllocation":
-        return replace(self, on_grant_timeout=policy)
 
 
 #: The paper's core-count sweep points (Fig 2 x-axis).

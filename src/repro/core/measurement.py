@@ -53,16 +53,9 @@ class Measurement:
     grant_bypasses: int = 0             #: small-query bypass admissions
     grant_throttles: int = 0            #: requests refused a full queue
     grant_queue_peak: int = 0           #: max concurrent grant waiters
-    # -- backend / routing provenance (repro.backends); a single-backend
-    # -- run carries its personality name and empty routing counters.
-    backend: str = "rowstore-oltp"      #: personality, or "router:<policy>"
-    router_policy: Optional[str] = None  #: placement policy (routed runs)
-    #: per-backend query placements made by the router this run
-    router_decisions: Dict[str, int] = field(default_factory=dict)
-    router_fallbacks: int = 0           #: rule-based default-route count
-    router_reroutes: int = 0            #: placements moved off a suspended backend
+    backend: str = "rowstore-oltp"      #: engine personality (repro.backends)
     # -- fleet resilience provenance (repro.fleet / repro.faults.chaos);
-    # -- zero / None for ordinary single-engine and routed runs.
+    # -- zero / None for ordinary single-engine runs.
     failovers: int = 0                  #: primary promotions during the run
     hedges: int = 0                     #: hedged read attempts launched
     hedge_wins: int = 0                 #: hedges that beat the primary attempt

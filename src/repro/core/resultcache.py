@@ -47,11 +47,12 @@ log = logging.getLogger(__name__)
 #: Bump when the serialized Measurement layout changes incompatibly.
 #: v2: Measurement grew the grant counters and entries carry a sha256
 #: integrity header, so v1 entries are orphaned via the token.
-#: v3: Measurement grew backend/router provenance, and ExperimentConfig
-#: grew the backend/router fields (which also enter the config digest —
-#: cross-backend runs can never collide on cache entries).
+#: v3: Measurement grew backend and query-placement provenance, and
+#: ExperimentConfig grew the backend and placement fields (which also
+#: enter the config digest — cross-backend runs can never collide on
+#: cache entries).
 #: v4: Measurement grew fleet-resilience fields (failovers, hedges,
-#: unavailable_seconds, fleet_summary) and router_reroutes, and
+#: unavailable_seconds, fleet_summary) and a placement counter, and
 #: StorageBrownout grew latency_factor (which enters fault-carrying
 #: config digests); v3 pickles lack the new attributes.
 #: v5: Measurement grew model-prediction provenance fields; v4 pickles
@@ -67,7 +68,13 @@ log = logging.getLogger(__name__)
 #: v8: Measurement dropped the v5 provenance fields along with the
 #: learned model that filled them; v7 pickles carry attributes the
 #: class no longer declares.
-CACHE_FORMAT_VERSION = 8
+#: v9: the multi-backend query-placement engine is gone: ExperimentConfig
+#: dropped its two placement fields (every config digest moves) and
+#: Measurement its four placement counters; CounterSeries
+#: pickles each rate series as one float64 blob (loaded back into a
+#: list) instead of a list of floats.  v8 pickles carry attributes the
+#: class no longer declares and rate lists where blobs are expected.
+CACHE_FORMAT_VERSION = 9
 
 #: Environment variable consulted for a default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

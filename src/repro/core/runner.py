@@ -247,9 +247,6 @@ class SweepReport:
     def successes(self) -> List[Measurement]:
         return [m for m in self.measurements if m is not None]
 
-    def completed_indices(self) -> List[int]:
-        return [i for i, m in enumerate(self.measurements) if m is not None]
-
     def summary(self) -> str:
         total = len(self.measurements)
         done = len(self.successes())

@@ -53,9 +53,6 @@ class SensitivityRow:
     def most_sensitive(self) -> str:
         return max(self.indices, key=self.indices.get)
 
-    def least_sensitive(self) -> str:
-        return min(self.indices, key=self.indices.get)
-
 
 def sensitivity_index(baseline: float, stressed: float) -> float:
     """Fraction of performance lost under stress (clamped to [0, 1])."""

@@ -5,8 +5,7 @@ sharing a workload and varying exactly one resource axis, mirroring the
 paper's methodology (§4-§8).  ``run_sweep`` executes them — optionally in
 parallel and through the on-disk result cache (see
 :mod:`repro.core.runner`) — and returns the measurements in order;
-:func:`on_backend` re-targets a grid at another engine personality or a
-routed fleet.
+:func:`on_backend` re-targets a grid at another engine personality.
 """
 
 from __future__ import annotations
@@ -56,23 +55,16 @@ def duration_for(workload: str, scale_factor: int, scale: float = 1.0) -> float:
 def on_backend(
     configs: Sequence[ExperimentConfig],
     backend: str = DEFAULT_BACKEND,
-    router: Optional[str] = None,
-    router_backends: Tuple[str, ...] = (),
 ) -> List[ExperimentConfig]:
-    """Re-target a sweep at an engine personality or a routed fleet.
+    """Re-target a sweep at an engine personality.
 
     Every figure/sensitivity grid sweeps across backends by composition:
     ``on_backend(core_sweep(...), backend="columnstore-dss")`` measures
-    the same axis on a different personality, and
-    ``on_backend(cfgs, router="rule-based")`` runs the routed fleet.
-    The backend fields are part of the result-cache key, so re-targeted
-    grids never collide with the originals.
+    the same axis on a different personality.  The backend is part of
+    the result-cache key, so re-targeted grids never collide with the
+    originals.
     """
-    return [
-        replace(config, backend=backend, router=router,
-                router_backends=tuple(router_backends))
-        for config in configs
-    ]
+    return [replace(config, backend=backend) for config in configs]
 
 
 def core_sweep(

@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 from repro.calibration import ENGINE_MEMORY_FRACTION
 from repro.engine.catalog import Database, Table
 from repro.errors import ConfigurationError
-from repro.units import PAGE_SIZE
 
 
 @dataclass
@@ -101,10 +100,6 @@ class BufferPool:
         """Overall fraction of the database resident in the pool."""
         return self._residency()[0]
 
-    def cold_resident_fraction(self) -> float:
-        """Fraction of the *cold* data that still fits after hot sets."""
-        return self._residency()[1]
-
     # -- access-path hit probabilities -------------------------------------------
 
     #: Even a fully-resident database misses occasionally (first touches,
@@ -134,8 +129,3 @@ class BufferPool:
         if not 0.0 <= scanned_fraction <= 1.0:
             raise ConfigurationError("scanned_fraction must be in [0, 1]")
         return table.data_bytes * scanned_fraction * (1.0 - self.scan_hit_fraction(table))
-
-    def point_read_bytes(self, table: Table, accesses: float) -> float:
-        """SSD bytes read for *accesses* point lookups against a table."""
-        miss = 1.0 - self.point_hit_probability(table)
-        return accesses * miss * PAGE_SIZE

@@ -202,8 +202,3 @@ class Database:
         the engine.
         """
         return self.total_bytes <= memory_bytes * engine_fraction
-
-    def largest_table(self) -> Optional[Table]:
-        if not self.tables:
-            return None
-        return max(self.tables.values(), key=lambda t: t.data_bytes)

@@ -58,10 +58,6 @@ class CheckpointWriter:
         self._work_gate: Optional[WaitEvent] = None
         self._process = sim.spawn(self._run(), name="checkpoint-writer")
 
-    def attach_wal(self, wal) -> None:
-        """Bind the WAL whose durable LSN bounds each checkpoint."""
-        self._wal = wal
-
     @property
     def dirty_bytes(self) -> float:
         return self._dirty_bytes

@@ -94,7 +94,7 @@ class SqlEngine:
             search_strategy=search_strategy,
         )
         self.optimizer = Optimizer(self._planning)
-        self.plan_cache = PlanCache(maxsize=plan_cache_size, namespace=backend_name)
+        self.plan_cache = PlanCache(maxsize=plan_cache_size)
 
     # -- planning and admission ----------------------------------------------------
 
@@ -111,7 +111,7 @@ class SqlEngine:
         dataclasses), making the shared object safe to execute repeatedly.
         """
         dop = self.governor.effective_dop(len(self.machine.cpuset), hint=dop_hint)
-        key = (self.plan_cache.namespace, spec, dop)
+        key = (spec, dop)
         cached = self.plan_cache.get(key)
         if cached is not None:
             return cached

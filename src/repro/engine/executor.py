@@ -43,14 +43,6 @@ class QueryDemand:
     spill_write_bytes: float
     grant: MemoryGrant
 
-    @property
-    def total_read_bytes(self) -> float:
-        return self.seq_read_bytes + self.random_read_bytes + self.spill_read_bytes
-
-    @property
-    def total_write_bytes(self) -> float:
-        return self.spill_write_bytes
-
 
 class ContentionPoint(NamedTuple):
     """One critical section a transaction passes through."""

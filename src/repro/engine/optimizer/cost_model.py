@@ -84,9 +84,6 @@ class CostModel:
     def hash_join_cpu(self, build_rows: float, probe_rows: float) -> float:
         return build_rows * self.hash_build_per_row + probe_rows * self.hash_probe_per_row
 
-    def hash_join_memory(self, build_rows: float) -> float:
-        return build_rows * self.hash_row_bytes
-
     def broadcast_cost(self, build_rows: float, dop: int) -> float:
         return build_rows * self.broadcast_per_row_per_dop * max(0, dop - 1)
 

@@ -78,10 +78,6 @@ class OptimizedQuery:
     required_memory_bytes: float
     random_reads: float
 
-    @property
-    def is_parallel(self) -> bool:
-        return self.dop > 1 and self.plan.is_parallel_plan()
-
 
 @dataclass
 class _Partial:

@@ -13,12 +13,9 @@ would rebuild.
 
 Plans must *not* be shared across engine instances (different
 allocations change residency and DOP), which is why the cache lives on
-the engine rather than at module level.  Engines additionally carry a
-*namespace* — the backend personality that owns the cache — folded into
-every key, so plans produced under one backend's cost model can never be
-served to another even if cache objects are ever pooled or compared, and
-per-backend hit/miss accounting stays separable in the
-``dm_router_decisions`` view.
+the engine rather than at module level.  An engine runs one backend
+personality with one cost model, so a cache never mixes two backends'
+plans.
 """
 
 from __future__ import annotations
@@ -34,12 +31,10 @@ DEFAULT_PLAN_CACHE_SIZE = 256
 class PlanCache:
     """A bounded least-recently-used mapping with hit/miss accounting."""
 
-    def __init__(self, maxsize: int = DEFAULT_PLAN_CACHE_SIZE,
-                 namespace: str = ""):
+    def __init__(self, maxsize: int = DEFAULT_PLAN_CACHE_SIZE):
         if maxsize < 0:
             raise ValueError("plan cache size cannot be negative")
         self.maxsize = maxsize
-        self.namespace = namespace
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0

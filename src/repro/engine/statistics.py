@@ -131,66 +131,6 @@ def dm_os_buffer_summary(engine: SqlEngine) -> BufferPoolSummary:
 
 
 @dataclass(frozen=True)
-class RouterDecisionRow:
-    """One row of ``dm_router_decisions``: a backend's share of the
-    router's placements plus its (personality-keyed) plan-cache traffic."""
-
-    backend: str
-    policy: str                 #: router policy, "" on an unrouted engine
-    decisions: int              #: queries the router placed here
-    fallbacks: int              #: fleet-wide rule-based default routes
-    inflight: int               #: queries currently executing here
-    plan_cache_hits: int
-    plan_cache_misses: int
-    plan_cache_entries: int
-    suspended: bool = False     #: health-suspended (routed around)
-    reroutes: int = 0           #: fleet-wide placements moved off suspended
-
-
-def dm_router_decisions(engine) -> List[RouterDecisionRow]:
-    """Routing decisions and per-backend plan-cache counters.
-
-    On a :class:`~repro.backends.routed.RoutedEngine` this reports one
-    row per fleet member; a plain :class:`SqlEngine` yields a single row
-    for its own personality with empty routing columns, so monitoring
-    code can query the view without caring how the engine was built.
-    """
-    router = getattr(engine, "router", None)
-    if router is None:
-        info = engine.plan_cache.info()
-        return [
-            RouterDecisionRow(
-                backend=engine.backend_name,
-                policy="",
-                decisions=0,
-                fallbacks=0,
-                inflight=0,
-                plan_cache_hits=info["hits"],
-                plan_cache_misses=info["misses"],
-                plan_cache_entries=info["currsize"],
-            )
-        ]
-    rows = []
-    for name in router.order:
-        info = engine.engines[name].plan_cache.info()
-        rows.append(
-            RouterDecisionRow(
-                backend=name,
-                policy=router.policy,
-                decisions=router.decisions.get(name, 0),
-                fallbacks=router.fallbacks,
-                inflight=router.inflight.get(name, 0),
-                plan_cache_hits=info["hits"],
-                plan_cache_misses=info["misses"],
-                plan_cache_entries=info["currsize"],
-                suspended=name in router.suspended,
-                reroutes=router.reroutes,
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
 class ReplicaHealthRow:
     """One row of ``dm_fleet_replicas``: a replica's role, reachability,
     replication progress, and the failure detector's current view."""

@@ -85,10 +85,6 @@ class WriteAheadLog:
         self.truncated_records = 0
 
     @property
-    def next_lsn(self) -> int:
-        return self._next_lsn
-
-    @property
     def in_flight_records(self) -> Tuple[WalRecord, ...]:
         """Records appended but not yet durable (lost by a crash now)."""
         return tuple(self._pending_records)

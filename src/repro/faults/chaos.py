@@ -488,22 +488,6 @@ def run_chaos(
     )
 
 
-def chaos_soak(
-    seeds: Sequence[int],
-    scenario: str = "mixed",
-    journal=None,
-    compare_hedging: bool = False,
-    **config_kwargs,
-) -> List[ChaosReport]:
-    """Run one chaos schedule per seed; reports in seed order."""
-    reports = []
-    for seed in seeds:
-        config = ChaosConfig(seed=seed, scenario=scenario, **config_kwargs)
-        reports.append(run_chaos(config, journal=journal,
-                                 compare_hedging=compare_hedging))
-    return reports
-
-
 def chaos_fault_grid(configs, seed: int = 0,
                      kinds: Sequence[str] = ("crash", "brownout", "storm")):
     """Attach one reproducible simulation fault to every sweep config.

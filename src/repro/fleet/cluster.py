@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.backends import DEFAULT_ROUTER_BACKENDS, make_backend
+from repro.backends import make_backend
 from repro.core.knobs import ResourceAllocation
 from repro.core.resultcache import canonical_digest
 from repro.errors import ConfigurationError, FaultInjectionError
@@ -71,6 +71,11 @@ from repro.sim.randomness import RandomStreams, draw_index, weight_cdf
 from repro.sim.stats import Cdf
 from repro.workloads import make_workload
 from repro.workloads.arrivals import ArrivalSpec, arrival_times
+
+#: Default ``FleetSpec.backends``.  Shard *i* runs
+#: ``backends[i % len(backends)]``: the seed engine first, then the
+#: specialists.
+SHARD_BACKENDS = ("rowstore-oltp", "columnstore-dss", "elastic-serverless")
 
 #: Priority-shedding watermarks: the admission fraction of shard
 #: capacity available to priority *p* is ``max(FLOOR, 1 - STEP * p)``.
@@ -150,7 +155,7 @@ class FleetSpec:
     cache/digest-canonical like :class:`ChaosConfig`."""
 
     shards: int = 2
-    backends: Tuple[str, ...] = DEFAULT_ROUTER_BACKENDS
+    backends: Tuple[str, ...] = SHARD_BACKENDS
     workload: str = "asdb"
     scale_factor: int = 10
     duration: float = 8.0
@@ -200,7 +205,7 @@ class _Shard:
         self.backend = backend
         self.group = group
         self.monitor = monitor
-        self.active = True          #: routed to (False once scaled in)
+        self.active = True          #: takes traffic (False once scaled in)
         self.down = False           #: chaos-crashed (unreplicated shards)
         self.ready_at = ready_at    #: cold start: takes traffic after this
         self.in_flight = 0

@@ -19,7 +19,7 @@ it:
   RESOURCE_SEMAPHORE queue is already deep: hedging onto a struggling
   replica adds load exactly where it hurts;
 * **health-aware placement** — suspected replicas
-  (:class:`~repro.fleet.health.HeartbeatMonitor`) are routed around for
+  (:class:`~repro.fleet.health.HeartbeatMonitor`) are skipped for
   first attempts and hedges alike.
 """
 

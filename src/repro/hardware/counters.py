@@ -10,6 +10,7 @@ simulated second and keeps the interval-rate series, from which means
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Protocol
 
@@ -84,11 +85,19 @@ class CounterSeries:
         return arr
 
     def __getstate__(self):
-        return {"interval": self.interval, "rates": self.rates}
+        # Each series pickles as one float64 blob, as Cdf samples do, so
+        # loading a cached measurement does not unpickle rates one float
+        # at a time; they load back into the lists ``rates`` promises.
+        return {
+            "interval": self.interval,
+            "rates": {name: array("d", values).tobytes()
+                      for name, values in self.rates.items()},
+        }
 
     def __setstate__(self, state):
         self.interval = state["interval"]
-        self.rates = state["rates"]
+        self.rates = {name: array("d", blob).tolist()
+                      for name, blob in state["rates"].items()}
 
     def mean(self, name: str) -> float:
         """Run-average rate (array reduction over the memoized series)."""

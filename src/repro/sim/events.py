@@ -207,6 +207,18 @@ class EventLoop:
             self._cancelled = 0
             self.compactions += 1
 
+    def clear(self) -> None:
+        """Drop every pending entry without firing it.
+
+        Each dropped event forgets its callback and payload, so an object
+        holding its own pending timer no longer references itself.
+        """
+        for _, _, event in self._heap:
+            event.callback = event.payload = None
+        self._heap.clear()
+        self._ready.clear()
+        self._cancelled = 0
+
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
         if self._ready:

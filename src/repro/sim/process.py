@@ -24,11 +24,17 @@ path is kept lean without changing a single event:
   per yield.  The loop still allocates one ``Event`` per timer.
 * Hot paths here and in the engine read the clock as ``loop._now``
   rather than through the :attr:`Simulator.now` property.
+
+A suspended process and the objects its frame holds usually reference
+each other (a parent waits on its child's ``done``; a pending timer
+calls back into its process), so a run stopped at its horizon is one
+reference cycle.  :meth:`Simulator.close` ends every live process and
+drops the calendar, after which reference counting frees the run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.events import EventLoop
@@ -102,6 +108,8 @@ class WaitEvent:
 class Process:
     """A running generator, driven by the simulator's event loop."""
 
+    __slots__ = ("_sim", "_loop", "_gen", "name", "alive", "result", "error", "_done")
+
     def __init__(self, simulator: "Simulator", generator: Generator, name: str = "proc"):
         self._sim = simulator
         self._loop = simulator.loop
@@ -111,6 +119,7 @@ class Process:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._done = WaitEvent(simulator)
+        simulator._live[self] = None
 
     @property
     def done(self) -> WaitEvent:
@@ -136,6 +145,7 @@ class Process:
             command = self._gen.send(value)
         except StopIteration as stop:
             self.alive = False
+            del self._sim._live[self]
             self.result = stop.value
             self._done.trigger(stop.value)
             return
@@ -144,6 +154,7 @@ class Process:
             # event loop — essential when an injected fault escapes a
             # handler deep inside the engine stack (see repro.faults).
             self.alive = False
+            del self._sim._live[self]
             self.error = exc
             exc.__notes__ = getattr(exc, "__notes__", []) + [
                 f"raised in simulation process {self.name!r}"
@@ -178,6 +189,7 @@ class Process:
     def interrupt(self) -> None:
         """Terminate the process without resuming it again."""
         self.alive = False
+        self._sim._live.pop(self, None)
         self._gen.close()
 
 
@@ -196,6 +208,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.loop = EventLoop()
+        #: Processes not yet finished, in spawn order.
+        self._live: Dict[Process, None] = {}
+        self._closers: List[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -234,3 +249,23 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run the event loop until it drains or the clock passes *until*."""
         self.loop.run(until=until)
+
+    def on_close(self, callback: Callable[[], None]) -> None:
+        """Have :meth:`close` call *callback*: a resource that queues
+        its requesters' callbacks drops them there."""
+        self._closers.append(callback)
+
+    def close(self) -> None:
+        """End the simulation: close every live process, in spawn order,
+        then drop queued requests and the calendar.
+
+        Closing runs a process's ``finally`` blocks (a query returns its
+        grant), which may schedule wakes; the calendar is cleared after
+        them, so nothing scheduled here ever fires.
+        """
+        while self._live:
+            for proc in list(self._live):
+                proc.interrupt()
+        for callback in self._closers:
+            callback()
+        self.loop.clear()

@@ -175,6 +175,9 @@ class TokenBucket:
         self._tokens = self.burst
         self._last_refill = 0.0
         self._queue: Deque = deque()
+        # A queued grant callback may hold this bucket (a storage
+        # transfer walks two buckets), so the queue goes with the run.
+        sim.on_close(self._queue.clear)
         self._timer = None
         self.total_consumed = 0.0
         # In-flight head request, for smooth consumption accounting:

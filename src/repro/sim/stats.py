@@ -48,10 +48,6 @@ class WelfordStat:
     def variance(self) -> float:
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
 
 class TimeWeightedStat:
     """Time-weighted average of a piecewise-constant signal.

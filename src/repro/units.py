@@ -67,11 +67,6 @@ def to_gb_per_s(rate_bytes_per_s: float) -> float:
     return rate_bytes_per_s / GB
 
 
-def to_gib(size_bytes: float) -> float:
-    """Convert bytes to GiB for reporting (Table 2 uses GB ~ GiB loosely)."""
-    return size_bytes / GIB
-
-
 def pages(size_bytes: float) -> int:
     """Number of 8 KiB database pages needed to hold *size_bytes*."""
     return max(1, int(round(size_bytes / PAGE_SIZE)))

@@ -1,6 +1,6 @@
-"""Router determinism: the same config and seed must produce identical
-placements and bit-identical Measurements whether the sweep runs
-in-process or across worker processes."""
+"""Personality determinism: a sweep on a non-default backend must produce
+bit-identical Measurements whether it runs in-process or across worker
+processes, and run to run."""
 
 import pickle
 
@@ -9,33 +9,32 @@ from repro.core.knobs import ResourceAllocation
 from repro.core.sweeps import run_sweep
 
 
-def routed_sweep():
+def backend_sweep():
     return [
         ExperimentConfig(
-            workload="tpch", scale_factor=10, duration=4.0, seed=seed,
+            workload=workload, scale_factor=sf, duration=duration, seed=seed,
             allocation=ResourceAllocation(logical_cores=cores, llc_mb=12),
-            router=policy,
+            backend=backend,
         )
-        for cores, seed, policy in (
-            (32, 0, "rule-based"),
-            (8, 3, "rule-based"),
-            (32, 1, "cost-scored"),
-            (16, 2, "always-columnstore-dss"),
+        for workload, sf, duration, cores, seed, backend in (
+            ("tpch", 10, 4.0, 32, 0, "columnstore-dss"),
+            ("tpch", 10, 4.0, 8, 3, "elastic-serverless"),
+            ("asdb", 2000, 1.0, 16, 1, "columnstore-dss"),
+            ("asdb", 2000, 1.0, 16, 2, "elastic-serverless"),
         )
     ]
 
 
-class TestRouterDeterminism:
+class TestBackendDeterminism:
     def test_parallel_identical_to_serial(self):
-        configs = routed_sweep()
+        configs = backend_sweep()
         serial = run_sweep(configs, jobs=1)
         parallel = run_sweep(configs, jobs=4)
-        for s, p in zip(serial, parallel):
-            assert s.router_decisions == p.router_decisions
-            assert s.router_fallbacks == p.router_fallbacks
+        for config, s, p in zip(configs, serial, parallel):
+            assert s.backend == p.backend == config.backend
             assert pickle.dumps(s) == pickle.dumps(p)
 
     def test_repeat_runs_identical(self):
-        config = routed_sweep()[0]
+        config = backend_sweep()[1]
         a, b = run_sweep([config, config], jobs=1)
         assert pickle.dumps(a) == pickle.dumps(b)

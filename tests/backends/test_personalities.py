@@ -1,10 +1,14 @@
-"""Backend personalities: registry, governor mapping, and the resource
-profiles the router decides on — plus each personality's characteristic
-behavior (columnstore wins DSS and loses OLTP; serverless cold-starts
-and meters billing)."""
+"""Backend personalities: registry and governor mapping, plus each
+personality's characteristic behavior (columnstore wins DSS and loses
+OLTP; serverless cold-starts and meters billing)."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.backends import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -44,13 +48,25 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_backend("hekaton")
 
-    def test_profiles_are_complete(self):
+    def test_descriptions_are_complete(self):
         for name in backend_names():
-            profile = make_backend(name).resource_profile()
-            assert profile.scan_bandwidth_score > 0
-            assert profile.point_lookup_score > 0
-            assert 0 < profile.parallel_efficiency <= 1
-            assert profile.startup_seconds >= 0
+            backend = make_backend(name)
+            assert backend.name == name
+            assert backend.description
+
+
+def test_figures_import_loads_only_the_personalities():
+    """A run uses one engine: the figure regenerators load the three
+    personalities and their base, and no other backend module."""
+    code = ("import sys, repro, repro.core.figures; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.startswith('repro.backends.')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["repro.backends.base", "repro.backends.columnstore",
+                   "repro.backends.rowstore", "repro.backends.serverless"]
 
 
 class TestGovernorMapping:
@@ -86,7 +102,6 @@ class TestEngineConstruction:
         for name in backend_names():
             engine = build(name)
             assert engine.backend_name == name
-            assert engine.plan_cache.namespace == name
 
     def test_rowstore_builds_plain_engine(self):
         engine = build("rowstore-oltp")

@@ -1,6 +1,7 @@
-"""A Measurement read back from the ResultCache (latency samples as
-float64 blobs, loaded into arrays) reports the same observables as the
-one that was stored, and re-stores to the same bytes."""
+"""A Measurement read back from the ResultCache (latency samples and
+counter rates as float64 blobs, loaded into arrays and lists) reports
+the same observables as the one that was stored, and re-stores to the
+same bytes."""
 
 import pickle
 
@@ -51,3 +52,21 @@ def test_a_hit_restores_to_the_same_bytes(tmp_path, stored):
     assert path.read_bytes() == original
     header, _, payload = original.partition(b"\n")
     assert payload == pickle.dumps(measurement, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def test_counter_rates_travel_as_blobs_and_load_as_lists(tmp_path, stored):
+    config, measurement = stored
+    state = measurement.counters.__getstate__()
+    assert state["rates"]
+    assert all(type(blob) is bytes for blob in state["rates"].values())
+    cache = ResultCache(tmp_path)
+    cache.put(config, measurement)
+    loaded = ResultCache(tmp_path).get(config).counters
+    assert loaded.interval == measurement.counters.interval
+    assert loaded.rates == measurement.counters.rates
+    for name, rates in loaded.rates.items():
+        assert type(rates) is list
+        assert all(type(rate) is float for rate in rates)
+        assert loaded.mean(name) == measurement.counters.mean(name)
+    loaded.append("instructions_retired", 1.0)
+    assert loaded.series("instructions_retired")[-1] == 1.0

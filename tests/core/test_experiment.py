@@ -1,10 +1,15 @@
 """Tests for the experiment runner and measurement surface."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.experiment import Experiment, ExperimentConfig, run_experiment
 from repro.core.knobs import ResourceAllocation
-from repro.core.sweeps import core_sweep, grant_sweep, llc_sweep, maxdop_sweep, run_sweep
+from repro.core.sweeps import (
+    core_sweep, grant_sweep, llc_sweep, maxdop_sweep, on_backend, run_sweep,
+)
 from repro.engine.locks import WaitType
 from repro.hardware.counters import SSD_READ_BYTES
 
@@ -62,6 +67,38 @@ class TestExperiment:
         assert m.primary_metric >= 0
 
 
+class _WatchedExperiment(Experiment):
+    """Keeps a weak reference to the machine its run builds."""
+
+    def _build_machine(self):
+        machine = super()._build_machine()
+        self.machine_ref = weakref.ref(machine)
+        return machine
+
+
+class TestRunFreesItsGraph:
+    """A finished run is freed by reference counting alone: suspended
+    clients, pending timers and queued grants would otherwise hold the
+    machine in a cycle until the cyclic collector ran."""
+
+    @pytest.mark.parametrize("config", [
+        ExperimentConfig(workload="asdb", scale_factor=2000, duration=2.0),
+        ExperimentConfig(workload="tpch", scale_factor=10, duration=10.0),
+    ], ids=["oltp", "dss"])
+    def test_machine_is_dead_when_run_returns(self, config):
+        experiment = _WatchedExperiment(config)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            measurement = experiment.run()
+            assert experiment.machine_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert measurement.primary_metric > 0
+
+
 class TestSweepBuilders:
     def test_core_sweep_follows_paper_axis(self):
         configs = core_sweep("tpch", 10)
@@ -84,6 +121,13 @@ class TestSweepBuilders:
     def test_grant_sweep_percents(self):
         configs = grant_sweep()
         assert [c.allocation.grant_percent for c in configs] == [25.0, 15.0, 5.0, 2.0]
+
+    def test_on_backend_retargets_every_config(self):
+        base = core_sweep("tpch", 10, cores=(8, 32))
+        retargeted = on_backend(base, backend="columnstore-dss")
+        assert all(c.backend == "columnstore-dss" for c in retargeted)
+        assert [c.allocation for c in retargeted] == \
+            [c.allocation for c in base]
 
     def test_run_sweep_preserves_order(self):
         configs = core_sweep("asdb", 2000, cores=(4, 8), duration_scale=0.2)

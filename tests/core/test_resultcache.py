@@ -77,19 +77,14 @@ class TestDigests:
         config = make_config()
         assert config_digest(config, "a") != config_digest(config, "b")
 
-    def test_backend_and_router_are_part_of_the_address(self):
-        """Regression: a columnstore run and a routed run must never be
+    def test_backend_is_part_of_the_address(self):
+        """Regression: a columnstore or serverless run must never be
         served from a rowstore entry for the same knobs."""
         token = "t"
         variants = [
             make_config(),
             make_config(backend="columnstore-dss"),
             make_config(backend="elastic-serverless"),
-            make_config(router="rule-based"),
-            make_config(router="cost-scored"),
-            make_config(router="rule-based",
-                        router_backends=("rowstore-oltp",
-                                         "columnstore-dss")),
         ]
         digests = {config_digest(v, token) for v in variants}
         assert len(digests) == len(variants)

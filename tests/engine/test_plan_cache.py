@@ -127,56 +127,30 @@ class TestEnginePlanCaching:
         assert engine.plan_cache.info()["maxsize"] == DEFAULT_PLAN_CACHE_SIZE
 
 
-class TestBackendNamespaces:
-    """The cache is keyed by the backend personality that owns it, so
-    plans produced under one backend's cost model can never serve
-    another's lookups, and hit/miss accounting stays per-backend."""
+class TestBackendIsolation:
+    """An engine runs one backend personality and owns its cache, so
+    plans made under one backend's cost model never serve another's
+    lookups, and each cache counts only its own traffic."""
 
-    def test_default_namespace_is_the_seed_personality(self):
-        assert PlanCache(maxsize=4).namespace == ""
-        assert make_engine().plan_cache.namespace == "rowstore-oltp"
-
-    def test_backend_engines_get_namespaced_caches(self):
+    def test_backend_engines_own_their_caches(self):
         from repro.backends import make_backend
         from repro.workloads import make_workload
 
-        machine = Machine()
-        allocation = ResourceAllocation(logical_cores=8)
-        allocation.apply_to(machine)
-        workload = make_workload("tpch", 10)
-        engine = make_backend("columnstore-dss").build_engine(
-            machine, workload, allocation)
-        assert engine.plan_cache.namespace == "columnstore-dss"
-
-    def test_namespace_is_folded_into_every_key(self):
-        engine = make_engine(sf=10)
-        engine.plan_cache.namespace = "columnstore-dss"
+        engines = []
+        for name in ("rowstore-oltp", "columnstore-dss"):
+            machine = Machine()
+            allocation = ResourceAllocation(logical_cores=8)
+            allocation.apply_to(machine)
+            engines.append(make_backend(name).build_engine(
+                machine, make_workload("tpch", 10), allocation))
+        row, col = engines
         spec = tpch_query(1, 10)
-        plan = engine.optimize(spec)
-        engine.plan_cache.namespace = "rowstore-oltp"
-        assert engine.optimize(spec) is not plan
-
-    def test_fleet_engines_account_hits_separately(self):
-        from repro.backends import build_routed_engine
-        from repro.workloads import make_workload
-
-        machine = Machine()
-        allocation = ResourceAllocation()
-        allocation.apply_to(machine)
-        workload = make_workload("tpch", 10)
-        routed = build_routed_engine(
-            machine, workload, allocation,
-            ("rowstore-oltp", "columnstore-dss"), "rule-based")
-        spec = tpch_query(1, 10)
-        routed.optimize(spec)
-        routed.optimize(spec)
-        infos = {name: engine.plan_cache.info()
-                 for name, engine in routed.engines.items()}
-        # Exactly one backend planned the query; the other's cache is cold.
-        traffic = [name for name, info in infos.items()
-                   if info["hits"] + info["misses"] > 0]
-        assert len(traffic) == 1
-        assert infos[traffic[0]]["hits"] >= 1
+        assert row.optimize(spec) is not col.optimize(spec)
+        assert row.optimize(spec) is row.optimize(spec)
+        assert row.plan_cache.info()["hits"] == 2
+        assert col.plan_cache.info()["hits"] == 0
+        assert row.plan_cache.info()["misses"] == 1
+        assert col.plan_cache.info()["misses"] == 1
 
 
 class TestPlanSignatureCollection:

@@ -83,12 +83,9 @@ def test_sweep_retargets_the_grid_with_on_backend(monkeypatch):
 
     monkeypatch.setattr("repro.cli.run_supervised", capture)
     with pytest.raises(SystemExit):
-        main(["sweep", "llc", "tpch", "10", "--router", "cost-scored",
-              "--router-backends", "rowstore-oltp, columnstore-dss"])
+        main(["sweep", "llc", "tpch", "10", "--backend", "columnstore-dss"])
     assert seen == on_backend(llc_sweep("tpch", 10, duration_scale=0.5),
-                              router="cost-scored",
-                              router_backends=("rowstore-oltp",
-                                               "columnstore-dss"))
+                              "columnstore-dss")
 
 
 def test_sweep_no_cache_overrides_env(capsys, tmp_path, monkeypatch):
@@ -198,7 +195,6 @@ def test_backends_lists_personalities(capsys):
     out = capsys.readouterr().out
     for name in ("rowstore-oltp", "columnstore-dss", "elastic-serverless"):
         assert name in out
-    assert "router policies" in out
 
 
 def test_run_on_columnstore_backend(capsys):
@@ -208,39 +204,9 @@ def test_run_on_columnstore_backend(capsys):
     assert "on columnstore-dss" in capsys.readouterr().out
 
 
-def test_run_with_router_shows_decisions(capsys):
-    code = main(["run", "tpch", "10", "--duration", "3",
-                 "--router", "rule-based"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "on router:rule-based" in out
-    assert "router decisions:" in out
-
-
 def test_run_rejects_unknown_backend():
     with pytest.raises(SystemExit):
         main(["run", "tpch", "10", "--backend", "hekaton"])
-
-
-def test_route_admission_reports_floor(capsys):
-    code = main(["route", "admission", "--scale-factor", "10",
-                 "--oversub", "1,4", "--duration-scale", "0.05"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "route-complete: admission" in out
-    assert "router-floor: ok" in out
-    assert "router:rule-based" in out
-
-
-def test_route_fig2_compares_backends(capsys):
-    code = main(["route", "fig2", "--cores", "8,32",
-                 "--duration-scale", "0.05"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "route-complete: fig2" in out
-    for label in ("rowstore-oltp", "columnstore-dss",
-                  "elastic-serverless", "router:rule-based"):
-        assert label in out
 
 
 def test_chaos_quiescent_run_checks_determinism(capsys):
