@@ -19,7 +19,7 @@ linear reasoning overallocates by ~20% at the Fig 5 probe point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

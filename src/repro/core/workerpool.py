@@ -35,7 +35,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 log = logging.getLogger(__name__)
 

@@ -14,7 +14,7 @@ from typing import Generator, Optional
 from repro.engine.bufferpool import BufferPool
 from repro.engine.catalog import Database
 from repro.engine.checkpoint import CheckpointWriter
-from repro.engine.executor import ExecutionResult, Executor, TransactionDemand
+from repro.engine.executor import Executor, TransactionDemand
 from repro.engine.locks import LockManager
 from repro.engine.memory_grants import MemoryGrant, QueryMemoryPool
 from repro.engine.optimizer.cost_model import CostModel

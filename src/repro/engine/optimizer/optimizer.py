@@ -19,7 +19,6 @@ of parallelism, reproducing the paper's Fig 7 observation for Q20.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +27,7 @@ from repro.engine.bufferpool import BufferPool
 from repro.engine.catalog import Database, Table
 from repro.engine.optimizer.cost_model import CostModel
 from repro.engine.optimizer.queryspec import JoinEdge, JoinKind, QuerySpec, TableRef
-from repro.engine.plan.operators import JoinAlgorithm, OpKind, PlanNode
+from repro.engine.plan.operators import OpKind, PlanNode
 from repro.engine.types import StorageFormat
 from repro.errors import PlanningError
 

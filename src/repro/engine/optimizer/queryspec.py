@@ -10,7 +10,7 @@ remains (aggregation groups, sort, top).  The 22 TPC-H templates in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import PlanningError

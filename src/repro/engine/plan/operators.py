@@ -11,7 +11,7 @@ base data it scans (for buffer-pool/SSD accounting), the memory it needs
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Tuple
 
 from repro.errors import PlanningError

@@ -42,13 +42,12 @@ counters on :class:`~repro.core.measurement.Measurement`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, Dict, Generator, Optional
+from typing import Deque, Dict, Generator
 
 from collections import deque
 
 from repro.engine.memory_grants import MemoryGrant, QueryMemoryPool
 from repro.engine.resource_governor import (
-    ON_TIMEOUT_DEGRADE,
     ON_TIMEOUT_FAIL,
     ResourceGovernor,
 )

@@ -447,6 +447,7 @@ def run_chaos(
         baseline = _FleetRun(config, schedule, hedging=False)
         baseline.run()
         unhedged_p99 = baseline.read_p99()
+        baseline.sim.close()
         hedged_p99 = run.read_p99()
         if hedged_p99 is not None and unhedged_p99 is not None:
             invariants["hedging-p99"] = (
@@ -456,6 +457,7 @@ def run_chaos(
         replay = _FleetRun(config, schedule, hedging=config.hedging)
         replay.run()
         invariants["determinism"] = replay.digest() == digest
+        replay.sim.close()
 
     if journal is not None:
         for entry in run.episode_log:
@@ -471,7 +473,7 @@ def run_chaos(
             unavailable_seconds=run.group.summary()["unavailable_seconds"],
         )
 
-    return ChaosReport(
+    report = ChaosReport(
         config=config,
         schedule=schedule,
         episodes=run.episode_log,
@@ -486,6 +488,9 @@ def run_chaos(
         unhedged_read_p99=unhedged_p99,
         invariants=invariants,
     )
+    # As in FleetCluster.run: closing frees each run's fleet on return.
+    run.sim.close()
+    return report
 
 
 def chaos_fault_grid(configs, seed: int = 0,

@@ -703,7 +703,11 @@ class FleetCluster:
                            name=f"fleet-episode-{i}")
         self.sim.spawn(self._arrivals_proc(spec.duration), name="fleet-arrivals")
         self.sim.run(until=spec.duration)
-        return self._report()
+        report = self._report()
+        # Suspended processes and the shards reference each other;
+        # closing lets reference counting free the fleet on return.
+        self.sim.close()
+        return report
 
     # -- reporting ---------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Callable, Deque, Generator, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.process import Simulator, Timeout, WaitEvent
+from repro.sim.process import Simulator, WaitEvent
 from repro.sim.waterfill import WaterfillServer
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 

@@ -16,7 +16,7 @@ conflicts thinner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Tuple
 
 import numpy as np
 

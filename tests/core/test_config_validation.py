@@ -51,6 +51,18 @@ def test_scale_factor_must_be_at_least_one(scale_factor):
         ExperimentConfig(workload="asdb", scale_factor=scale_factor)
 
 
+@pytest.mark.parametrize("kwargs", [{1: 4}, {"streams": 1, None: 2},
+                                    {b"streams": 1}])
+def test_workload_kwargs_keys_must_be_str(kwargs):
+    # ``{1: x}`` would share ``{"1": x}``'s cache key and only fail
+    # later, inside ``make_workload(**kwargs)``.
+    with pytest.raises(ConfigurationError,
+                       match=r"ExperimentConfig\.workload_kwargs keys must "
+                             r"be str"):
+        ExperimentConfig(workload="tpch", scale_factor=10,
+                         workload_kwargs=kwargs)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("logical_cores", NAN, "need at least one core"),
     ("logical_cores", 0, "need at least one core"),
