@@ -1,11 +1,12 @@
 """Oracle for the result-cache config key.
 
 ``_reference_canonical`` is the plain ``isinstance``-chain reduction the
-cache key was first built with, kept verbatim.  The fast reduction in
-:mod:`repro.core.resultcache` (exact-type dispatch, per-class field-name
-tuples) must render every value to the same bytes, and a handful of
-digests from the ``sweep_cached`` benchmark grid are pinned so a cache
-written before the change stays addressable.
+cache key was first built with, kept verbatim, and ``reference_json``
+encodes it with ``json.dumps``.  :func:`canonical_json` writes its JSON
+directly (per-class field pieces, exact-type scalars, the reduction only
+for rarer subtrees) and must render every value to the same bytes, and a
+handful of digests from the ``sweep_cached`` benchmark grid are pinned so
+a cache written before the change stays addressable.
 """
 
 import dataclasses
@@ -19,8 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.resultcache import canonical_json, config_digest
+from repro.core.experiment import ExperimentConfig
+from repro.core.knobs import ResourceAllocation
 from repro.core.sweeps import core_sweep, llc_sweep, maxdop_sweep
 from repro.errors import ConfigurationError
+from repro.faults.spec import StorageBrownout, WorkerCrash
+from repro.workloads.arrivals import ArrivalSpec
 
 
 def _reference_canonical(value: Any) -> Any:
@@ -193,3 +198,40 @@ def test_sweep_cached_grid_digests_are_pinned():
 def test_sweep_cached_grid_matches_the_reference():
     for config in _sweep_cached_grid():
         assert canonical_json(config) == reference_json(config)
+
+
+def asdb(**overrides):
+    return ExperimentConfig(workload="asdb", scale_factor=2000, **overrides)
+
+
+def _mixed_grid():
+    grid = (llc_sweep("asdb", 2000, duration_scale=0.1)
+            + core_sweep("tpch", 10)
+            + maxdop_sweep(10)
+            + [asdb(duration=3), asdb(duration=3.0),
+               asdb(faults=(StorageBrownout(start=1.0, duration=1.0),
+                            WorkerCrash(attempts=2))),
+               asdb(arrival=ArrivalSpec(offered_tps=500.0)),
+               asdb(arrival=ArrivalSpec(offered_tps=500.0, amplitude=-0.0)),
+               asdb(allocation=ResourceAllocation(logical_cores=4)),
+               ExperimentConfig(workload="tpch", scale_factor=10,
+                                workload_kwargs={"streams": 2,
+                                                 "queries": (1, 6)})])
+    return grid + [replace(config, seed=1) for config in grid]
+
+
+def test_mixed_config_grid_matches_the_reference():
+    grid = _mixed_grid()
+    rendered = [canonical_json(config) for config in grid]
+    assert rendered == [reference_json(config) for config in grid]
+    assert len(set(rendered)) == len(grid)
+
+
+@pytest.mark.parametrize("a, b", [
+    (asdb(duration=30), asdb(duration=30.0)),
+    (asdb(arrival=ArrivalSpec(offered_tps=100.0, amplitude=0.0)),
+     asdb(arrival=ArrivalSpec(offered_tps=100.0, amplitude=-0.0))),
+], ids=["int-float", "signed-zero"])
+def test_equal_configs_that_render_differently_keep_their_own_digests(a, b):
+    assert a == b
+    assert config_digest(a, "t") != config_digest(b, "t")
