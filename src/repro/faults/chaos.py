@@ -35,6 +35,14 @@ Episodes are laid out in disjoint time slots, so at most one replica is
 faulted at a time and a 3-replica group never loses its quorum to the
 scheduler itself — which is what makes (a) and (b) *hard* gates rather
 than statistical ones.
+
+The fleet is built by :func:`~repro.fleet.replicas.build_replica_group`,
+crashes and partitions run
+:meth:`~repro.fleet.replicas.ReplicaGroup.outage`, and storms use
+:func:`~repro.faults.injector.spawn_grant_storm` — the same pieces
+:mod:`repro.fleet.cluster` and the per-run fault injector use.  This
+module adds only the choice of target and the per-episode durability
+audit.
 """
 
 from __future__ import annotations
@@ -46,11 +54,8 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 from repro.backends.base import DEFAULT_BACKEND, make_backend
 from repro.core.knobs import ResourceAllocation
 from repro.core.resultcache import canonical_digest
-from repro.errors import (
-    ChaosInvariantError,
-    FaultInjectionError,
-    GrantTimeoutError,
-)
+from repro.errors import ChaosInvariantError, FaultInjectionError
+from repro.faults.injector import spawn_grant_storm
 from repro.faults.spec import (
     CrashPoint,
     FaultSpec,
@@ -58,10 +63,8 @@ from repro.faults.spec import (
     ReplicaPartition,
     StorageBrownout,
 )
-from repro.fleet.health import FailoverController, HeartbeatMonitor
 from repro.fleet.hedging import HedgedReader, RetryBudget
-from repro.fleet.replicas import Replica, ReplicaGroup
-from repro.hardware.machine import Machine, MachineSpec
+from repro.fleet.replicas import build_replica_group
 from repro.sim.process import Simulator, Timeout
 from repro.sim.randomness import RandomStreams
 from repro.units import KIB
@@ -193,24 +196,14 @@ class _FleetRun:
         self.schedule = schedule
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed).fork("chaos-clients")
-        workload = make_workload(config.workload, config.scale_factor)
-        backend = make_backend(config.backend)
-        allocation = ResourceAllocation()
-        replicas = []
-        for i in range(config.replicas):
-            machine = Machine(
-                spec=MachineSpec(),
-                seed=self.streams.fork(f"replica{i}").seed,
-                shared_sim=self.sim,
-            )
-            allocation.apply_to(machine)
-            engine = backend.build_engine(machine, workload, allocation)
-            replicas.append(Replica(index=i, machine=machine, engine=engine))
-        self.group = ReplicaGroup(self.sim, replicas)
-        self.monitor = HeartbeatMonitor(self.group)
-        self.controller = FailoverController(self.group, self.monitor)
-        self.monitor.install()
-        self.controller.install()
+        self.group, self.monitor, self.controller = build_replica_group(
+            self.sim,
+            [self.streams.fork(f"replica{i}").seed
+             for i in range(config.replicas)],
+            make_workload(config.workload, config.scale_factor),
+            make_backend(config.backend),
+            ResourceAllocation(),
+        )
         self.reader = HedgedReader(
             self.group,
             monitor=self.monitor,
@@ -258,14 +251,9 @@ class _FleetRun:
             replica = self.group.primary or replica
         entry = {"kind": episode.kind, "replica": replica.index,
                  "at": self.sim.now, "duration": episode.duration}
-        if episode.kind == "crash":
-            if replica.up:
-                if replica is self.group.primary:
-                    self.group.note_primary_down()
-                replica.crash()
-                yield Timeout(episode.duration)
-                replica.restart()
-                yield from self.group.rejoin(replica)
+        if episode.kind in ("crash", "partition"):
+            yield from self.group.outage(replica, episode.kind,
+                                         episode.duration)
         elif episode.kind == "brownout":
             spec = episode.spec
             replica.machine.ssd.apply_brownout(
@@ -275,42 +263,16 @@ class _FleetRun:
             )
             yield Timeout(episode.duration)
             replica.machine.ssd.clear_brownout()
-        elif episode.kind == "partition":
-            if replica.up and not replica.partitioned:
-                if replica is self.group.primary:
-                    self.group.note_primary_down()
-                replica.partitioned = True
-                yield Timeout(episode.duration)
-                # Heal fenced: a replica that missed an epoch must not be
-                # promotable until rejoin proves its log caught up.
-                replica.fence()
-                replica.partitioned = False
-                yield from self.group.rejoin(replica)
         elif episode.kind == "storm":
-            spec = episode.spec
-            for q in range(spec.queries):
-                self.sim.spawn(
-                    self._storm_query(replica.engine.semaphore, spec),
-                    name=f"chaos-storm-{episode.replica}-{q}",
-                )
+            spawn_grant_storm(self.sim, replica.engine.semaphore,
+                              episode.spec,
+                              f"chaos-storm-{episode.replica}")
             yield Timeout(episode.duration)
         audit = self.group.audit_durability()
         entry["healed_at"] = self.sim.now
         entry["acked"] = audit["acked"]
         entry["lost"] = audit["lost"]
         self.episode_log.append(entry)
-
-    def _storm_query(self, semaphore, spec: GrantStorm) -> Generator:
-        nbytes = semaphore.pool_bytes * spec.pool_fraction
-        try:
-            ticket = yield from semaphore.acquire(nbytes, name="chaos-storm")
-        except GrantTimeoutError:
-            return None
-        try:
-            yield Timeout(spec.hold_seconds)
-        finally:
-            semaphore.release(ticket)
-        return None
 
     # -- execution ---------------------------------------------------------------
 

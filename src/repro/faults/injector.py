@@ -16,10 +16,10 @@ observable of the run rather than a side effect.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.engine.engine import SqlEngine
-from repro.errors import FaultInjectionError
+from repro.errors import FaultInjectionError, GrantTimeoutError
 from repro.faults.recovery import WalImage, recover, verify_committed_durable
 from repro.faults.spec import (
     CoreOffline,
@@ -162,39 +162,23 @@ class FaultInjector:
         if self.engine is None:
             raise FaultInjectionError("a grant storm needs an engine")
         yield Timeout(fault.at)
-        semaphore = self.engine.semaphore
-        nbytes = semaphore.pool_bytes * fault.pool_fraction
-        for index in range(fault.queries):
-            self.machine.sim.spawn(
-                self._storm_query(semaphore, nbytes, fault.hold_seconds, index),
-                name=f"storm-query-{index}",
-            )
+        nbytes = spawn_grant_storm(self.machine.sim, self.engine.semaphore,
+                                   fault, "storm-query",
+                                   on_admit=self._note_storm_admission)
         self._log(
             f"grant storm: {fault.queries} requests x {nbytes:.0f} B, "
             f"held {fault.hold_seconds}s"
         )
         return None
 
-    def _storm_query(self, semaphore, nbytes: float, hold: float,
-                     index: int) -> Generator:
-        """One storm participant: acquire, hold, release.
-
-        Goes through the same acquire path as real queries, so storm
-        requests queue, time out, and degrade under the governor's
-        policy like any other — and always release what they charged.
-        """
-        try:
-            ticket = yield from semaphore.acquire(nbytes, name=f"storm-{index}")
-        except Exception:
+    def _note_storm_admission(self, index: int, granted: bool) -> None:
+        # Counted at admission, not after the hold: a storm can still be
+        # holding its grants when the run ends.
+        if granted:
+            self.storm_grants += 1
+        else:
             self.storm_rejections += 1
             self._log(f"storm-{index}: rejected at admission")
-            return None
-        self.storm_grants += 1
-        try:
-            yield Timeout(hold)
-        finally:
-            semaphore.release(ticket)
-        return None
 
     # -- reporting -------------------------------------------------------------
 
@@ -211,3 +195,45 @@ class FaultInjector:
             "storm_rejections": float(self.storm_rejections),
             "events": float(len(self.events)),
         }
+
+
+def spawn_grant_storm(
+    sim,
+    semaphore,
+    storm: GrantStorm,
+    name: str,
+    on_admit: Callable[[int, bool], None] = lambda index, granted: None,
+) -> float:
+    """Spawn *storm*'s participants against *semaphore*, one process
+    each, named ``<name>-<index>``; returns each participant's request
+    in bytes.  *on_admit* hears ``(index, granted)`` once per
+    participant as its admission is decided."""
+    nbytes = semaphore.pool_bytes * storm.pool_fraction
+    for index in range(storm.queries):
+        sim.spawn(_storm_participant(semaphore, nbytes, storm.hold_seconds,
+                                     index, on_admit),
+                  name=f"{name}-{index}")
+    return nbytes
+
+
+def _storm_participant(semaphore, nbytes: float, hold: float, index: int,
+                       on_admit) -> Generator:
+    """One storm participant: acquire, hold, release.
+
+    Goes through the same acquire path as real queries, so storm
+    requests queue, time out, and degrade under the governor's policy
+    like any other, and always release what they charged.  Only a
+    refused grant ends a participant quietly; any other error is a
+    fault in the run and propagates.
+    """
+    try:
+        ticket = yield from semaphore.acquire(nbytes, name=f"storm-{index}")
+    except GrantTimeoutError:
+        on_admit(index, False)
+        return None
+    on_admit(index, True)
+    try:
+        yield Timeout(hold)
+    finally:
+        semaphore.release(ticket)
+    return None

@@ -6,10 +6,14 @@ gracefully a sharded cluster of engines degrades as offered load rises
 past capacity.  The pieces:
 
 * **Shards.**  :class:`FleetCluster` composes N engine instances (the
-  backend personalities of :mod:`repro.backends`, cycled across shards,
-  optionally wrapped in PR 8 :class:`~repro.fleet.replicas.ReplicaGroup`
-  replication) on one shared simulator clock, exactly the way chaos
-  fleets are built.
+  backend personalities of :mod:`repro.backends`, cycled across shards)
+  on one shared simulator clock.  Each shard comes from
+  :func:`~repro.fleet.replicas.build_replica_group`, the builder chaos
+  soaks use, so replication >= 2 gives a guarded
+  :class:`~repro.fleet.replicas.ReplicaGroup`.  Chaos episodes reuse
+  the shared fault pieces too: a crash or partition runs
+  :meth:`~repro.fleet.replicas.ReplicaGroup.outage` on the primary, a
+  storm :func:`~repro.faults.injector.spawn_grant_storm`.
 * **Tenants.**  Open-loop arrivals (:mod:`repro.workloads.arrivals`
   traces: diurnal / MMPP burst / flash-crowd) are attributed to weighted
   :class:`TenantSpec` tenants with priorities and p99 SLOs.
@@ -61,11 +65,11 @@ from repro.backends import make_backend
 from repro.core.knobs import ResourceAllocation
 from repro.core.resultcache import canonical_digest
 from repro.errors import ConfigurationError, FaultInjectionError
+from repro.faults.injector import spawn_grant_storm
 from repro.fleet.autoscale import Autoscaler, AutoscalePolicy
-from repro.fleet.health import FailoverController, HeartbeatMonitor
 from repro.fleet.hedging import RetryBudget
-from repro.fleet.replicas import Replica, ReplicaGroup
-from repro.hardware.machine import Machine, MachineSpec
+from repro.fleet.replicas import ReplicaGroup, build_replica_group
+from repro.hardware.machine import Machine
 from repro.sim.process import At, Simulator, Timeout
 from repro.sim.randomness import RandomStreams, draw_index, weight_cdf
 from repro.sim.stats import Cdf
@@ -194,17 +198,14 @@ class FleetSpec:
 class _Shard:
     """One shard: an engine (or replica group) plus admission state."""
 
-    def __init__(self, index: int, machines: List[Machine],
-                 engines: List, backend: str,
-                 group: Optional[ReplicaGroup],
-                 monitor: Optional[HeartbeatMonitor],
+    def __init__(self, index: int, group: ReplicaGroup, backend: str,
                  ready_at: float):
         self.index = index
-        self.machines = machines
-        self._engines = engines
         self.backend = backend
-        self.group = group
-        self.monitor = monitor
+        #: The replica group, or None for an unreplicated shard, whose
+        #: lone replica serves directly.
+        self.group = group if len(group.replicas) > 1 else None
+        self._solo = group.replicas[0]
         self.active = True          #: takes traffic (False once scaled in)
         self.down = False           #: chaos-crashed (unreplicated shards)
         self.ready_at = ready_at    #: cold start: takes traffic after this
@@ -219,13 +220,13 @@ class _Shard:
         if self.group is not None:
             primary = self.group.primary
             return primary.engine if primary is not None else None
-        return self._engines[0]
+        return self._solo.engine
 
     @property
     def machine(self) -> Machine:
         if self.group is not None and self.group.primary is not None:
             return self.group.primary.machine
-        return self.machines[0]
+        return self._solo.machine
 
     def ready(self, now: float) -> bool:
         return (self.active and not self.down and now >= self.ready_at
@@ -471,30 +472,13 @@ class FleetCluster:
         index = self._built
         self._built += 1
         backend_name = spec.backends[index % len(spec.backends)]
-        backend = make_backend(backend_name)
-        machines, engines = [], []
-        for r in range(spec.replication):
-            machine = Machine(
-                spec=MachineSpec(),
-                seed=self.streams.fork(f"shard{index}.replica{r}").seed,
-                shared_sim=self.sim,
-            )
-            self.allocation.apply_to(machine)
-            machines.append(machine)
-            engines.append(backend.build_engine(machine, self.workload,
-                                                self.allocation))
-        group = monitor = None
-        if spec.replication > 1:
-            group = ReplicaGroup(self.sim, [
-                Replica(index=r, machine=machines[r], engine=engines[r])
-                for r in range(spec.replication)
-            ])
-            monitor = HeartbeatMonitor(group)
-            controller = FailoverController(group, monitor)
-            monitor.install()
-            controller.install()
-        shard = _Shard(index, machines, engines, backend_name, group,
-                       monitor, ready_at)
+        group, _, _ = build_replica_group(
+            self.sim,
+            [self.streams.fork(f"shard{index}.replica{r}").seed
+             for r in range(spec.replication)],
+            self.workload, make_backend(backend_name), self.allocation,
+        )
+        shard = _Shard(index, group, backend_name, ready_at)
         self.shards.append(shard)
         return shard
 
@@ -646,19 +630,8 @@ class FleetCluster:
             shard.machine.ssd.clear_brownout()
         elif episode.kind in ("crash", "partition"):
             if shard.group is not None:
-                primary = shard.group.primary
-                if primary is not None and primary.up:
-                    shard.group.note_primary_down()
-                    if episode.kind == "crash":
-                        primary.crash()
-                        yield Timeout(episode.duration)
-                        primary.restart()
-                    else:
-                        primary.partitioned = True
-                        yield Timeout(episode.duration)
-                        primary.fence()
-                        primary.partitioned = False
-                    yield from shard.group.rejoin(primary)
+                yield from shard.group.outage(shard.group.primary,
+                                              episode.kind, episode.duration)
             else:
                 # Unreplicated shard: the outage takes the whole shard
                 # out of rotation — the autoscaler's problem now.
@@ -666,31 +639,13 @@ class FleetCluster:
                 yield Timeout(episode.duration)
                 shard.down = False
         elif episode.kind == "storm":
-            spec = episode.spec
             engine = shard.engine
             if engine is not None:
-                for q in range(spec.queries):
-                    self.sim.spawn(
-                        self._storm_query(engine.semaphore, spec),
-                        name=f"fleet-storm-{shard.index}-{q}",
-                    )
+                spawn_grant_storm(self.sim, engine.semaphore, episode.spec,
+                                  f"fleet-storm-{shard.index}")
             yield Timeout(episode.duration)
         entry["healed_at"] = self.sim.now
         self.episode_log.append(entry)
-
-    def _storm_query(self, semaphore, spec) -> Generator:
-        from repro.errors import GrantTimeoutError
-
-        nbytes = semaphore.pool_bytes * spec.pool_fraction
-        try:
-            ticket = yield from semaphore.acquire(nbytes, name="fleet-storm")
-        except GrantTimeoutError:
-            return None
-        try:
-            yield Timeout(spec.hold_seconds)
-        finally:
-            semaphore.release(ticket)
-        return None
 
     # -- execution ---------------------------------------------------------------
 

@@ -25,11 +25,13 @@ real failovers against.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Generator, List, Optional
 
 from repro.errors import FaultInjectionError
-from repro.fleet.replicas import Replica, ReplicaGroup
 from repro.sim.process import Timeout
+
+if TYPE_CHECKING:  # replicas.py builds monitors, so it imports this module
+    from repro.fleet.replicas import Replica, ReplicaGroup
 
 #: Bytes written per heartbeat: big enough to touch the device's write
 #: path, small enough to be negligible load.

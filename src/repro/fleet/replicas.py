@@ -26,14 +26,15 @@ the primary's published checkpoint LSN, then the streamed tail.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.engine.engine import SqlEngine
 from repro.engine.wal import WalRecord
 from repro.errors import FaultInjectionError, RecoveryError
 from repro.faults.recovery import RecoveryResult, WalImage, recover, \
     verify_committed_durable
-from repro.hardware.machine import Machine
+from repro.fleet.health import FailoverController, HeartbeatMonitor
+from repro.hardware.machine import Machine, MachineSpec
 from repro.sim.process import Simulator, Timeout
 
 ROLE_PRIMARY = "primary"
@@ -288,6 +289,33 @@ class ReplicaGroup:
         # target's restart image predates this record.
         return target.reachable
 
+    # -- outages -----------------------------------------------------------------
+
+    def outage(self, replica: Replica, kind: str, duration: float) -> Generator:
+        """Generator: take *replica* out for *duration*, heal, rejoin.
+
+        *kind* is ``"crash"`` (crash, then restart from the crash image)
+        or ``"partition"`` (cut off, then healed fenced: a replica that
+        missed an epoch must not be promotable until :meth:`rejoin`
+        proves its log caught up).  A replica that is already down, or
+        already partitioned for a partition, is left alone.
+        """
+        if not replica.up or (kind == "partition" and replica.partitioned):
+            return None
+        if replica is self.primary:
+            self.note_primary_down()
+        if kind == "crash":
+            replica.crash()
+            yield Timeout(duration)
+            replica.restart()
+        else:
+            replica.partitioned = True
+            yield Timeout(duration)
+            replica.fence()
+            replica.partitioned = False
+        yield from self.rejoin(replica)
+        return None
+
     # -- rejoin / catch-up -------------------------------------------------------
 
     def rejoin(self, replica: Replica) -> Generator:
@@ -363,3 +391,35 @@ class ReplicaGroup:
             "log_truncations": float(self.log_truncations),
             "unavailable_seconds": float(sum(self.unavailability)),
         }
+
+
+def build_replica_group(
+    sim: Simulator,
+    seeds: Sequence[int],
+    workload,
+    backend,
+    allocation,
+) -> Tuple[ReplicaGroup, Optional[HeartbeatMonitor],
+           Optional[FailoverController]]:
+    """One replica per seed, each on its own machine on *sim*, grouped.
+
+    Every machine gets *allocation* and an engine from *backend* running
+    *workload*.  A group of two or more replicas is guarded: a
+    :class:`~repro.fleet.health.HeartbeatMonitor` and a
+    :class:`~repro.fleet.health.FailoverController` are installed, and
+    returned with it.  A lone replica has neither (both ``None``).
+    """
+    replicas = []
+    for index, seed in enumerate(seeds):
+        machine = Machine(spec=MachineSpec(), seed=seed, shared_sim=sim)
+        allocation.apply_to(machine)
+        engine = backend.build_engine(machine, workload, allocation)
+        replicas.append(Replica(index=index, machine=machine, engine=engine))
+    group = ReplicaGroup(sim, replicas)
+    if len(replicas) < 2:
+        return group, None, None
+    monitor = HeartbeatMonitor(group)
+    controller = FailoverController(group, monitor)
+    monitor.install()
+    controller.install()
+    return group, monitor, controller

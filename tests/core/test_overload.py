@@ -8,6 +8,8 @@ per-query cap admits exactly four cap-sized grants — so four streams are
 the pool's natural concurrency and 16x oversubscription is 64 streams.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.admission import (
@@ -24,8 +26,10 @@ from repro.errors import (
     ConfigurationError,
     FaultInjectionError,
     GrantTimeoutError,
+    SimulationError,
 )
-from repro.faults import GrantStorm
+from repro.faults import FaultInjector, GrantStorm
+from repro.hardware.machine import Machine, MachineSpec
 
 
 def tpch_config(streams, duration=600.0, seed=0, allocation=None, faults=()):
@@ -217,3 +221,24 @@ class TestGrantStorm:
         assert stormed.fault_summary["storm_grants"] == 8
         assert stormed.grant_waits == 0
         assert fingerprint(stormed) == fingerprint(baseline)
+
+    def test_non_admission_errors_propagate(self):
+        """Only a refused grant counts as a storm rejection; any other
+        error from the semaphore is a fault in the run and surfaces."""
+
+        class BrokenSemaphore:
+            pool_bytes = 1000.0
+
+            def acquire(self, nbytes, name="query"):
+                raise SimulationError("grant queue corrupted")
+                yield  # a generator, like the real acquire
+
+        machine = Machine(spec=MachineSpec(), seed=0)
+        injector = FaultInjector(
+            machine, SimpleNamespace(semaphore=BrokenSemaphore()),
+            faults=(GrantStorm(at=0.1, queries=2),))
+        injector.install()
+        with pytest.raises(SimulationError, match="grant queue corrupted"):
+            machine.sim.run(until=1.0)
+        assert injector.storm_rejections == 0
+        assert injector.storm_grants == 0

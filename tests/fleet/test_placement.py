@@ -33,12 +33,12 @@ def reference_place(cluster, priority):
 
 def _shard(index, state):
     in_flight, active, down, cold, replicated, primary_lost = state
-    group = None
+    replica = SimpleNamespace(engine=object())
+    group = SimpleNamespace(primary=replica, replicas=[replica])
     if replicated:
-        primary = None if primary_lost else SimpleNamespace(engine=object())
-        group = SimpleNamespace(primary=primary)
-    shard = _Shard(index, machines=[], engines=[object()], backend="b",
-                   group=group, monitor=None,
+        primary = None if primary_lost else replica
+        group = SimpleNamespace(primary=primary, replicas=[replica, replica])
+    shard = _Shard(index, group, backend="b",
                    ready_at=NOW + 1.0 if cold else NOW - 1.0)
     shard.in_flight = in_flight
     shard.active = active

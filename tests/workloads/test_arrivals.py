@@ -7,7 +7,7 @@ from repro.engine.engine import SqlEngine
 from repro.engine.resource_governor import ResourceGovernor
 from repro.errors import WorkloadError
 from repro.hardware.machine import Machine
-from repro.workloads.arrivals import OpenLoopDriver, latency_curve
+from repro.workloads.arrivals import OpenLoopDriver
 from repro.workloads.asdb import AsdbWorkload
 
 
@@ -62,17 +62,6 @@ class TestOpenLoopDriver:
             OpenLoopDriver(workload, engine, offered_tps=0.0)
         with pytest.raises(WorkloadError):
             OpenLoopDriver(workload, engine, offered_tps=1.0, max_in_flight=0)
-
-    def test_latency_curve_helper(self):
-        results = latency_curve(
-            workload_factory=lambda: AsdbWorkload(2000, clients=1),
-            engine_factory=lambda w: make_pair()[1],
-            offered_rates=[50.0, 200.0],
-            duration=4.0,
-        )
-        assert len(results) == 2
-        assert results[0].offered_tps == 50.0
-        assert all(r.completed > 0 for r in results)
 
 
 class TestRateTraces:
