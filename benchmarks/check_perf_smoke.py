@@ -9,8 +9,8 @@ regenerated ``BENCH_runner_scaling.json`` / ``BENCH_sim_kernel.json``:
 Two classes of check:
 
 * **Machine-relative ratios** (always applied): dispatch overhead under
-  10% of serial sweep cost, vectorized MRC and counter rollups >= 2x,
-  compaction observed, warm cache >= 10x.  These are robust across
+  10% of serial sweep cost, counter rollups >= 2x, compaction
+  observed, warm cache >= 10x.  These are robust across
   machines because both sides of each ratio ran on the same host.
 * **Cross-commit regression** (only with ``--baseline-kernel``): the
   fresh ``points_per_second`` of each end-to-end anchor — ``fig2_mini``
@@ -108,8 +108,7 @@ def main(argv=None):
               f"(effective_cores={cores}); SKIPPED parallel-scaling "
               f"assertions — not silently passed")
     bench_sim_kernel.check_report(kernel)
-    print(f"perf-smoke: MRC {kernel['mrc']['speedup']}x, "
-          f"counter rollup {kernel['counter_rollup']['speedup']}x, "
+    print(f"perf-smoke: counter rollup {kernel['counter_rollup']['speedup']}x, "
           f"{kernel['events']['compactions']} compaction(s)")
 
     if args.baseline_kernel:

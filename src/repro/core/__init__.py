@@ -37,7 +37,6 @@ from repro.core.runner import (
     SweepReport,
     run_supervised,
     run_sweep,
-    with_seeds,
 )
 from repro.core.sensitivity import SensitivityRow, sensitivity_matrix, spectrum_width
 
@@ -69,7 +68,6 @@ __all__ = [
     "config_digest",
     "run_supervised",
     "run_sweep",
-    "with_seeds",
     "FailedMeasurement",
     "SupervisionPolicy",
     "SweepJournal",

@@ -18,7 +18,7 @@ the historical instant-admission behavior exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.calibration import DEFAULT_GRANT_PERCENT
@@ -69,20 +69,6 @@ class ResourceAllocation:
         machine.apply_blkio(
             BlkioLimits(read_bps=self.read_bw_limit, write_bps=self.write_bw_limit)
         )
-
-    # -- convenience builders ---------------------------------------------------
-
-    def with_cores(self, logical_cores: int) -> "ResourceAllocation":
-        return replace(self, logical_cores=logical_cores)
-
-    def with_llc(self, llc_mb: int) -> "ResourceAllocation":
-        return replace(self, llc_mb=llc_mb)
-
-    def with_maxdop(self, max_dop: int) -> "ResourceAllocation":
-        return replace(self, max_dop=max_dop)
-
-    def with_grant_percent(self, percent: float) -> "ResourceAllocation":
-        return replace(self, grant_percent=percent)
 
 
 #: The paper's core-count sweep points (Fig 2 x-axis).

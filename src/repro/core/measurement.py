@@ -54,15 +54,6 @@ class Measurement:
     grant_throttles: int = 0            #: requests refused a full queue
     grant_queue_peak: int = 0           #: max concurrent grant waiters
     backend: str = "rowstore-oltp"      #: engine personality (repro.backends)
-    # -- fleet resilience provenance (repro.fleet / repro.faults.chaos);
-    # -- zero / None for ordinary single-engine runs.
-    failovers: int = 0                  #: primary promotions during the run
-    hedges: int = 0                     #: hedged read attempts launched
-    hedge_wins: int = 0                 #: hedges that beat the primary attempt
-    unavailable_seconds: float = 0.0    #: client-observed write outage time
-    #: Full fleet counter snapshot (ReplicaGroup.summary()), None outside
-    #: chaos/fleet runs.
-    fleet_summary: Optional[Dict[str, float]] = None
     # -- open-loop arrival / fleet-SLO observables (repro.workloads
     # -- .arrivals, repro.fleet.cluster); zero / empty for closed-loop
     # -- runs, so the defaults keep seed measurements bit-identical.

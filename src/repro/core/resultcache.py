@@ -64,8 +64,8 @@ log = logging.getLogger(__name__)
 #: ExperimentConfig grew the backend and placement fields (which also
 #: enter the config digest — cross-backend runs can never collide on
 #: cache entries).
-#: v4: Measurement grew fleet-resilience fields (failovers, hedges,
-#: unavailable_seconds, fleet_summary) and a placement counter, and
+#: v4: Measurement grew five fleet-resilience fields (failover, hedge
+#: and outage counters and a fleet snapshot) and a placement counter, and
 #: StorageBrownout grew latency_factor (which enters fault-carrying
 #: config digests); v3 pickles lack the new attributes.
 #: v5: Measurement grew model-prediction provenance fields; v4 pickles
@@ -87,7 +87,11 @@ log = logging.getLogger(__name__)
 #: pickles each rate series as one float64 blob (loaded back into a
 #: list) instead of a list of floats.  v8 pickles carry attributes the
 #: class no longer declares and rate lists where blobs are expected.
-CACHE_FORMAT_VERSION = 9
+#: v10: Measurement dropped the five v4 fleet-resilience fields, which
+#: no run ever set (chaos and fleet runs report through ChaosReport and
+#: FleetReport); v9 pickles carry attributes the class no longer
+#: declares.
+CACHE_FORMAT_VERSION = 10
 
 #: Environment variable consulted for a default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -41,7 +41,7 @@ import logging
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.core import dispatch, workerpool
@@ -701,19 +701,3 @@ def run_sweep(
                 item=_describe_item(configs[index]),
             )
     return report.measurements  # type: ignore[return-value]
-
-
-def with_seeds(
-    configs: Sequence[ExperimentConfig], base_seed: int = 0, stride: int = 1
-) -> List[ExperimentConfig]:
-    """Derive per-config seeds deterministically: ``base_seed + i*stride``.
-
-    Replicated sweeps (same grid, different seeds) need every point to
-    carry its own seed *before* dispatch — seeding inside workers would
-    tie results to scheduling order.  The seed is part of the cache key,
-    so each replicate caches independently.
-    """
-    return [
-        replace(config, seed=base_seed + index * stride)
-        for index, config in enumerate(configs)
-    ]

@@ -194,11 +194,3 @@ class Database:
     def total_bytes(self) -> float:
         data, index = self._size_sums()
         return data + index
-
-    def fits_in_memory(self, memory_bytes: float, engine_fraction: float = 0.8) -> bool:
-        """Whether data + indexes fit in the buffer pool's share of memory.
-
-        ``engine_fraction`` mirrors §8: about 80% of server memory goes to
-        the engine.
-        """
-        return self.total_bytes <= memory_bytes * engine_fraction

@@ -29,6 +29,10 @@ from repro.sim.process import Simulator, Timeout
 from repro.sim.resources import FcfsServer
 
 
+#: Generic engine latches, shared by every transaction type.
+LATCH_SLOTS = 64
+
+
 class WaitType(enum.Enum):
     LOCK = "LOCK"
     LATCH = "LATCH"
@@ -103,14 +107,13 @@ class LockManager:
         sim: Simulator,
         hot_rows: int,
         hot_pages: int,
-        latch_slots: int = 64,
     ):
         self._sim = sim
         self._loop = sim.loop
         self.accounting = WaitAccounting()
         self.row_locks = HotSlotArray(sim, hot_rows, "lock")
         self.page_latches = HotSlotArray(sim, hot_pages, "pagelatch")
-        self.latches = HotSlotArray(sim, latch_slots, "latch")
+        self.latches = HotSlotArray(sim, LATCH_SLOTS, "latch")
 
     def critical_section(
         self,

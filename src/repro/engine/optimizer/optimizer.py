@@ -36,10 +36,14 @@ from repro.errors import PlanningError
 #: memory with MAXDOP=1 compared to that with MAXDOP=32" (§8).
 GRANT_DOP_BASE = 0.55
 
+#: The DOP whose memory grant the factor is relative to (Fig 6's
+#: baseline MAXDOP).
+GRANT_REFERENCE_DOP = 32
 
-def grant_dop_factor(dop: int, reference_dop: int = 32) -> float:
-    """Memory scaling factor for a given DOP, relative to reference DOP."""
-    return GRANT_DOP_BASE + (1.0 - GRANT_DOP_BASE) * dop / reference_dop
+
+def grant_dop_factor(dop: int) -> float:
+    """Memory scaling factor for a given DOP, relative to DOP 32."""
+    return GRANT_DOP_BASE + (1.0 - GRANT_DOP_BASE) * dop / GRANT_REFERENCE_DOP
 
 
 @dataclass

@@ -38,7 +38,8 @@ than statistical ones.
 
 The fleet is built by :func:`~repro.fleet.replicas.build_replica_group`,
 crashes and partitions run
-:meth:`~repro.fleet.replicas.ReplicaGroup.outage`, and storms use
+:meth:`~repro.fleet.replicas.ReplicaGroup.outage`, brownouts
+:func:`~repro.faults.injector.hold_brownout`, and storms
 :func:`~repro.faults.injector.spawn_grant_storm` — the same pieces
 :mod:`repro.fleet.cluster` and the per-run fault injector use.  This
 module adds only the choice of target and the per-episode durability
@@ -55,7 +56,7 @@ from repro.backends.base import DEFAULT_BACKEND, make_backend
 from repro.core.knobs import ResourceAllocation
 from repro.core.resultcache import canonical_digest
 from repro.errors import ChaosInvariantError, FaultInjectionError
-from repro.faults.injector import spawn_grant_storm
+from repro.faults.injector import hold_brownout, spawn_grant_storm
 from repro.faults.spec import (
     CrashPoint,
     FaultSpec,
@@ -255,14 +256,7 @@ class _FleetRun:
             yield from self.group.outage(replica, episode.kind,
                                          episode.duration)
         elif episode.kind == "brownout":
-            spec = episode.spec
-            replica.machine.ssd.apply_brownout(
-                read_factor=spec.read_factor,
-                write_factor=spec.write_factor,
-                latency_factor=spec.latency_factor,
-            )
-            yield Timeout(episode.duration)
-            replica.machine.ssd.clear_brownout()
+            yield from hold_brownout(replica.machine.ssd, episode.spec)
         elif episode.kind == "storm":
             spawn_grant_storm(self.sim, replica.engine.semaphore,
                               episode.spec,

@@ -85,12 +85,9 @@ class FaultInjector:
 
     def _drive_brownout(self, fault: StorageBrownout) -> Generator:
         yield Timeout(fault.start)
-        self.machine.ssd.apply_brownout(fault.read_factor, fault.write_factor,
-                                        fault.latency_factor)
         self._log(f"brownout on: read x{fault.read_factor}, "
                   f"write x{fault.write_factor}")
-        yield Timeout(fault.duration)
-        self.machine.ssd.clear_brownout()
+        yield from hold_brownout(self.machine.ssd, fault)
         self._log("brownout cleared")
         return None
 
@@ -195,6 +192,15 @@ class FaultInjector:
             "storm_rejections": float(self.storm_rejections),
             "events": float(len(self.events)),
         }
+
+
+def hold_brownout(device, brownout: StorageBrownout) -> Generator:
+    """Generator: slow *device* by *brownout*'s three factors for its
+    duration, then clear them."""
+    device.apply_brownout(brownout.read_factor, brownout.write_factor,
+                          brownout.latency_factor)
+    yield Timeout(brownout.duration)
+    device.clear_brownout()
 
 
 def spawn_grant_storm(

@@ -185,16 +185,11 @@ class Autoscaler:
 
     # -- reporting ---------------------------------------------------------------
 
-    def reaction_seconds(self, since: Optional[float] = None) -> Optional[float]:
-        """Overload onset (or *since*) to the first scale-out's capacity
-        becoming ready — cold start included, because capacity that is
-        still provisioning absorbs no load.  None if it never scaled."""
-        if since is None:
-            return self._first_reaction
-        for decision in self.decisions:
-            if decision.action == "out" and decision.at >= since:
-                return decision.ready_at - since
-        return None
+    def reaction_seconds(self) -> Optional[float]:
+        """Overload onset to the first scale-out's capacity becoming
+        ready — cold start included, because capacity that is still
+        provisioning absorbs no load.  None if it never scaled."""
+        return self._first_reaction
 
     def summary(self) -> Dict[str, object]:
         return {

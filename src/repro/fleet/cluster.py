@@ -13,7 +13,8 @@ past capacity.  The pieces:
   :class:`~repro.fleet.replicas.ReplicaGroup`.  Chaos episodes reuse
   the shared fault pieces too: a crash or partition runs
   :meth:`~repro.fleet.replicas.ReplicaGroup.outage` on the primary, a
-  storm :func:`~repro.faults.injector.spawn_grant_storm`.
+  brownout :func:`~repro.faults.injector.hold_brownout`, a storm
+  :func:`~repro.faults.injector.spawn_grant_storm`.
 * **Tenants.**  Open-loop arrivals (:mod:`repro.workloads.arrivals`
   traces: diurnal / MMPP burst / flash-crowd) are attributed to weighted
   :class:`TenantSpec` tenants with priorities and p99 SLOs.
@@ -65,7 +66,7 @@ from repro.backends import make_backend
 from repro.core.knobs import ResourceAllocation
 from repro.core.resultcache import canonical_digest
 from repro.errors import ConfigurationError, FaultInjectionError
-from repro.faults.injector import spawn_grant_storm
+from repro.faults.injector import hold_brownout, spawn_grant_storm
 from repro.fleet.autoscale import Autoscaler, AutoscalePolicy
 from repro.fleet.hedging import RetryBudget
 from repro.fleet.replicas import ReplicaGroup, build_replica_group
@@ -620,14 +621,7 @@ class FleetCluster:
             "at": self.sim.now, "duration": episode.duration,
         }
         if episode.kind == "brownout":
-            spec = episode.spec
-            shard.machine.ssd.apply_brownout(
-                read_factor=spec.read_factor,
-                write_factor=spec.write_factor,
-                latency_factor=spec.latency_factor,
-            )
-            yield Timeout(episode.duration)
-            shard.machine.ssd.clear_brownout()
+            yield from hold_brownout(shard.machine.ssd, episode.spec)
         elif episode.kind in ("crash", "partition"):
             if shard.group is not None:
                 yield from shard.group.outage(shard.group.primary,

@@ -37,6 +37,10 @@ if TYPE_CHECKING:  # replicas.py builds monitors, so it imports this module
 #: path, small enough to be negligible load.
 HEARTBEAT_BYTES = 4096.0
 
+#: Recent request service times kept per replica for the slow-replica
+#: comparison.
+SERVICE_WINDOW = 64
+
 
 class HeartbeatMonitor:
     """Phi-accrual-style suspicion scores over simulated heartbeats."""
@@ -47,7 +51,6 @@ class HeartbeatMonitor:
         interval: float = 0.02,
         phi_threshold: float = 4.0,
         window: int = 16,
-        service_window: int = 64,
         slow_ratio: float = 10.0,
     ):
         if interval <= 0 or phi_threshold <= 1 or window < 2:
@@ -63,7 +66,7 @@ class HeartbeatMonitor:
             r.index: deque(maxlen=window) for r in group.replicas
         }
         self._service: Dict[int, Deque[float]] = {
-            r.index: deque(maxlen=service_window) for r in group.replicas
+            r.index: deque(maxlen=SERVICE_WINDOW) for r in group.replicas
         }
 
     def install(self) -> None:

@@ -82,6 +82,15 @@ class Replica:
         """Strip write authority; cleared only by a completed rejoin."""
         self.fenced = True
 
+    def truncate_to(self, lsn: int) -> None:
+        """Drop the WAL records above *lsn*, and any checkpoint claim on
+        them: a checkpoint LSN above the durable LSN would make the
+        next crash image claim work the log no longer holds."""
+        self.wal.truncate_to(lsn)
+        checkpoint = self.engine.checkpoint
+        checkpoint.checkpoint_lsn = min(checkpoint.checkpoint_lsn,
+                                        self.durable_lsn)
+
     def crash(self) -> RecoveryResult:
         """Crash now: freeze the durable image, replay, verify, go down.
 
@@ -111,7 +120,7 @@ class Replica:
         until :meth:`ReplicaGroup.rejoin` completes catch-up.
         """
         if self.crash_image is not None:
-            self.wal.truncate_to(self.crash_image.durable_lsn)
+            self.truncate_to(self.crash_image.durable_lsn)
             self.crash_image = None
         self.up = True
         self.recoveries += 1
@@ -179,7 +188,7 @@ class ReplicaGroup:
     def eligible_candidates(self) -> List[Replica]:
         return [r for r in self.replicas if r.eligible]
 
-    def install_primary(self, candidate: Replica, reason: str = "failover") -> None:
+    def install_primary(self, candidate: Replica) -> None:
         """Fence the old primary, promote *candidate*, bump the epoch."""
         old = self.primary
         if old is candidate:
@@ -337,7 +346,7 @@ class ReplicaGroup:
         divergent = [r for r in replica.wal.durable_records
                      if by_lsn.get(r.lsn) != r]
         if divergent:
-            replica.wal.truncate_to(divergent[0].lsn - 1)
+            replica.truncate_to(divergent[0].lsn - 1)
             self.log_truncations += 1
         missing = [r for r in primary.wal.durable_records
                    if r.lsn > replica.durable_lsn]

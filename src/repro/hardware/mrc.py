@@ -15,19 +15,15 @@ miss-rate curves for database workloads show knees at small cache sizes
 
 Performance notes: these curves sit on the per-query, per-sample-tick hot
 path, so everything derivable at construction time is precomputed —
-component densities, the LRU fill order, cumulative footprints, knees —
-and :meth:`MissRatioCurve.mpki_array` / :meth:`~MissRatioCurve.hit_ratio_array`
-evaluate whole allocation grids in one numpy pass.  The scalar
-:meth:`~MissRatioCurve.mpki` deliberately keeps the original sequential
-arithmetic, so existing results stay bit-identical.
+component densities, the LRU fill order, the flattened component tuples,
+knees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -99,38 +95,21 @@ class MissRatioCurve:
         self._components: List[WorkingSetComponent] = sorted(
             components, key=WorkingSetComponent.access_density, reverse=True
         )
-        # Flattened per-component columns in fill order, split into the
-        # finite (cacheable) prefix and the streaming remainder.  The
-        # scalar mpki() walks the tuples (attribute access hoisted); the
-        # _array forms use the numpy columns.
-        finite = [c for c in self._components
-                  if c.footprint_bytes != float("inf")]
+        # Per-component columns in fill order; mpki() walks the tuples
+        # (attribute access hoisted).
         self._flat = tuple(
             (c.footprint_bytes, c.accesses_per_ki, c.reuse_efficiency)
             for c in self._components
         )
-        self._streaming_mpki = sum(
-            c.accesses_per_ki for c in self._components
-            if c.footprint_bytes == float("inf")
-        )
-        self._footprints = np.array(
-            [c.footprint_bytes for c in finite], dtype=np.float64
-        )
-        self._accesses = np.array(
-            [c.accesses_per_ki for c in finite], dtype=np.float64
-        )
-        self._reuse = np.array(
-            [c.reuse_efficiency for c in finite], dtype=np.float64
-        )
-        #: Cumulative footprint *before* each component in fill order:
-        #: component i's resident fraction under allocation A is
-        #: ``clip((A - prior[i]) / footprint[i], 0, 1)``.
-        cumulative = np.cumsum(self._footprints)
-        self._prior = cumulative - self._footprints
         self._total_accesses = float(
             sum(c.accesses_per_ki for c in self._components)
         )
-        self._knees: Tuple[float, ...] = tuple(cumulative.tolist())
+        # Cumulative footprints of the finite (cacheable) components,
+        # summed left to right.
+        self._knees: Tuple[float, ...] = tuple(accumulate(
+            float(c.footprint_bytes) for c in self._components
+            if c.footprint_bytes != float("inf")
+        ))
 
     @property
     def components(self) -> List[WorkingSetComponent]:
@@ -145,10 +124,6 @@ class MissRatioCurve:
         ``footprint_scale`` inflates every footprint; the executor uses it
         to model more concurrent threads enlarging the aggregate working
         set (e.g. hyper-threading doubling resident thread state).
-
-        Keeps the original sequential arithmetic (same operations in the
-        same order), so results are bit-identical to the historical
-        implementation; use :meth:`mpki_array` for whole grids.
         """
         if allocated_bytes < 0:
             raise ConfigurationError("negative allocation")
@@ -168,47 +143,11 @@ class MissRatioCurve:
             remaining = max(0.0, remaining - footprint)
         return misses
 
-    def mpki_array(
-        self, allocated_bytes: Sequence[float], footprint_scale: float = 1.0
-    ) -> np.ndarray:
-        """Vectorized :meth:`mpki` over a whole allocation grid.
-
-        One numpy pass over ``len(allocations) x len(components)``:
-        component i's resident fraction is a clipped linear ramp between
-        the cumulative footprint before it and after it (both scaled), so
-        no sequential fill loop is needed.  Results match :meth:`mpki` to
-        floating-point round-off (the summation order differs).
-        """
-        if footprint_scale <= 0:
-            raise ConfigurationError("footprint scale must be positive")
-        allocations = np.asarray(allocated_bytes, dtype=np.float64)
-        if np.any(allocations < 0):
-            raise ConfigurationError("negative allocation")
-        if self._footprints.size == 0:
-            return np.full(allocations.shape, self._streaming_mpki)
-        resident = np.clip(
-            (allocations[..., None] - footprint_scale * self._prior)
-            / (footprint_scale * self._footprints),
-            0.0,
-            1.0,
-        )
-        misses = (self._accesses * (1.0 - resident * self._reuse)).sum(axis=-1)
-        return misses + self._streaming_mpki
-
     def hit_ratio(self, allocated_bytes: float, footprint_scale: float = 1.0) -> float:
         total = self.total_accesses_per_ki()
         if total == 0:
             return 1.0
         return 1.0 - self.mpki(allocated_bytes, footprint_scale) / total
-
-    def hit_ratio_array(
-        self, allocated_bytes: Sequence[float], footprint_scale: float = 1.0
-    ) -> np.ndarray:
-        """Vectorized :meth:`hit_ratio` over a whole allocation grid."""
-        total = self.total_accesses_per_ki()
-        if total == 0:
-            return np.ones(np.asarray(allocated_bytes, dtype=np.float64).shape)
-        return 1.0 - self.mpki_array(allocated_bytes, footprint_scale) / total
 
     def knee_bytes(self) -> Tuple[float, ...]:
         """Allocation sizes where the curve's slope changes (the knees).

@@ -11,8 +11,8 @@ streams (:mod:`repro.sim.randomness`), and statistics accumulators
 from repro.sim.events import Event, EventLoop
 from repro.sim.process import Process, Simulator, Timeout, WaitEvent
 from repro.sim.randomness import RandomStreams
-from repro.sim.resources import FcfsServer, ProcessorSharingServer, TokenBucket
-from repro.sim.stats import Cdf, Histogram, TimeWeightedStat, WelfordStat
+from repro.sim.resources import FcfsServer, TokenBucket
+from repro.sim.stats import Cdf
 
 __all__ = [
     "Event",
@@ -23,10 +23,6 @@ __all__ = [
     "WaitEvent",
     "RandomStreams",
     "FcfsServer",
-    "ProcessorSharingServer",
     "TokenBucket",
     "Cdf",
-    "Histogram",
-    "TimeWeightedStat",
-    "WelfordStat",
 ]

@@ -1,12 +1,10 @@
 """Shared resources with queueing for the simulation kernel.
 
-Three resource disciplines cover everything the hardware and engine models
-need:
+Two resource disciplines sit beside the capped processor sharing of
+:mod:`repro.sim.waterfill`:
 
 * :class:`FcfsServer` — *c* identical servers with a FIFO queue (used for
   lock grants and admission control),
-* :class:`ProcessorSharingServer` — a fluid capacity shared equally among
-  active jobs (used for cores and for bandwidth-shared devices),
 * :class:`TokenBucket` — a rate limiter (used for cgroup blkio read/write
   bandwidth caps and the NVMe device's own bandwidth).  Every storage
   chunk of the OLAP figures passes through two of them, so a consume
@@ -17,11 +15,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, Generator, List, Optional
+from typing import Callable, Deque, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.process import Simulator, WaitEvent
-from repro.sim.waterfill import WaterfillServer
 
 
 class FcfsServer:
@@ -107,29 +104,6 @@ class FcfsServer:
         self._in_use -= 1
         if self._queue and self._in_use < self.capacity:
             self._queue.popleft().trigger()
-
-
-class ProcessorSharingServer(WaterfillServer):
-    """A fluid resource of fixed total capacity shared equally by jobs.
-
-    A job submits an amount of *work* (in capacity-units × seconds at full
-    speed).  While *n* jobs are active each receives ``capacity / n`` of the
-    rate.  Scheduling is :class:`~repro.sim.waterfill.WaterfillServer`'s —
-    one completion timer, re-planned whenever the active set changes —
-    which makes the model exact for egalitarian processor sharing.
-    """
-
-    _finite_caps = False
-
-    def __init__(self, sim: Simulator, capacity: float, name: str = "ps"):
-        super().__init__(sim, capacity, name)
-
-    def _shares(self, caps: List[float]) -> List[float]:
-        return [self._capacity / len(caps)] * len(caps)
-
-    def submit(self, work: float) -> Generator:
-        """Generator: suspends until *work* capacity-seconds are served."""
-        return super().submit(work, cap=math.inf)
 
 
 class TokenBucket:

@@ -101,10 +101,6 @@ class WaterfillServer:
     so a change costs one event however many jobs are active.
     """
 
-    #: Rates follow the caps (as weights and ceilings), so a cap must be
-    #: finite; a subclass whose ``_shares`` ignores the caps may clear it.
-    _finite_caps = True
-
     class _Job:
         __slots__ = ("remaining", "cap", "gate", "rate")
 
@@ -156,11 +152,6 @@ class WaterfillServer:
             return 0.0
         return self.total_work_done / (self._capacity * end_time)
 
-    def _shares(self, caps: List[float]) -> List[float]:
-        """Rates for active jobs with rate caps *caps*, in submit order."""
-        # ``submit`` has checked every cap, so skip ``waterfill``'s checks.
-        return _fill(self._capacity, caps, caps)
-
     def _advance(self) -> None:
         """Drain the progress made at the cached rates since the last call."""
         now = self._sim.now
@@ -184,13 +175,16 @@ class WaterfillServer:
         if not jobs:
             return
         now = self._sim.now
+        # ``submit`` has checked every cap, so skip ``waterfill``'s checks;
+        # the caps are both the weights and the ceilings.
+        caps = self._caps
         # Earliest finish time, first submitted on ties (the strict ``<``
         # keeps the first): the order a heap of per-job ``(time, seq)``
         # completion events would fire in.  With every rate zero the
         # timer goes to the first job at ``inf``.
         first = jobs[0]
         first_time = math.inf
-        for job, rate in zip(jobs, self._shares(self._caps)):
+        for job, rate in zip(jobs, _fill(self._capacity, caps, caps)):
             job.rate = rate
             if rate > 0:
                 finish = now + job.remaining / rate
@@ -217,7 +211,7 @@ class WaterfillServer:
             raise SimulationError(f"{self.name}: negative work, got work={work}")
         if not cap > 0:
             raise SimulationError(f"{self.name}: cap must be positive, got cap={cap}")
-        if cap == math.inf and self._finite_caps:
+        if cap == math.inf:
             raise SimulationError(f"{self.name}: cap must be finite, got cap={cap}")
         if work == 0:
             return None

@@ -37,11 +37,6 @@ MINUTE = 60.0
 HOUR = 3600.0
 
 
-def mib(n: float) -> int:
-    """Return *n* mebibytes expressed in bytes."""
-    return int(n * MIB)
-
-
 def gib(n: float) -> int:
     """Return *n* gibibytes expressed in bytes."""
     return int(n * GIB)
@@ -60,11 +55,6 @@ def gb_per_s(n: float) -> float:
 def to_mb_per_s(rate_bytes_per_s: float) -> float:
     """Convert bytes/sec to (decimal) MB/sec for reporting."""
     return rate_bytes_per_s / MB
-
-
-def to_gb_per_s(rate_bytes_per_s: float) -> float:
-    """Convert bytes/sec to (decimal) GB/sec for reporting."""
-    return rate_bytes_per_s / GB
 
 
 def pages(size_bytes: float) -> int:

@@ -3,7 +3,6 @@
 from repro.workloads.arrivals import OpenLoopDriver
 from repro.workloads.asdb import AsdbWorkload
 from repro.workloads.base import ThroughputTracker, Workload
-from repro.workloads.datagen import DataGenerator
 from repro.workloads.htap import HtapWorkload
 from repro.workloads.tpce import TpceWorkload
 from repro.workloads.tpch import TPCH_QUERIES, TpchWorkload, tpch_query
@@ -28,7 +27,6 @@ def make_workload(name: str, scale_factor: int, **kwargs) -> Workload:
 __all__ = [
     "OpenLoopDriver",
     "AsdbWorkload",
-    "DataGenerator",
     "HtapWorkload",
     "TpceWorkload",
     "TpchWorkload",

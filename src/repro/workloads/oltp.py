@@ -52,9 +52,14 @@ class TransactionType:
             raise WorkloadError(f"{self.name}: bad transaction shape")
 
 
-def _skewed_slot(rng: np.random.Generator, num_slots: int, skew: float = 3.0) -> int:
+#: Power-law exponent of hot-slot picks: higher concentrates contention
+#: on fewer rows and pages.
+SLOT_SKEW = 3.0
+
+
+def _skewed_slot(rng: np.random.Generator, num_slots: int) -> int:
     """Pick a slot with probability density concentrated at low indexes."""
-    return min(num_slots - 1, int(num_slots * (1.0 - rng.power(skew))))
+    return min(num_slots - 1, int(num_slots * (1.0 - rng.power(SLOT_SKEW))))
 
 
 class OltpWorkloadBase(Workload):

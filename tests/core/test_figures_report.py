@@ -7,12 +7,14 @@ import pytest
 
 from repro.core import figures
 from repro.core.figures import (
+    TABLE4_PAPER,
     Table2Row,
     fig2_cores,
     fig2_llc,
     fig7_q20_plans,
     q20_memory_vs_dop,
     table2,
+    table4,
 )
 from repro.core.report import format_series, format_table, sparkline
 from repro.core.runner import SupervisionPolicy
@@ -94,6 +96,19 @@ class TestSweepFigures:
         with pytest.raises(SweepExecutionError):
             figures._sweep_series("asdb", 2000, configs, [4.0, 8.0],
                                   1, None, None)
+
+
+class TestTable4:
+    def test_row_shape(self):
+        # Shape only: the measured sizes move with fidelity work.
+        matrix = (("asdb", 2000),)
+        sizes = (2, 8, 40)
+        rows = table4(matrix=matrix, sizes_mb=sizes, duration_scale=0.02)
+        assert [(r.workload, r.scale_factor) for r in rows] == list(matrix)
+        row = rows[0]
+        assert (row.paper_mb_for_90, row.paper_mb_for_95) == TABLE4_PAPER[matrix[0]]
+        assert row.mb_for_90 is None or row.mb_for_90 in sizes
+        assert row.mb_for_95 is None or row.mb_for_95 in sizes
 
 
 class TestFig7:

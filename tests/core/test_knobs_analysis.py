@@ -45,14 +45,6 @@ class TestResourceAllocation:
         assert machine.llc.allocated_bytes() == 10 * MIB
         assert machine.ssd.effective_read_bw == mb_per_s(500)
 
-    def test_builders_return_new_objects(self):
-        base = ResourceAllocation()
-        assert base.with_cores(4).logical_cores == 4
-        assert base.with_llc(6).llc_mb == 6
-        assert base.with_maxdop(2).max_dop == 2
-        assert base.with_grant_percent(5.0).grant_percent == 5.0
-        assert base.logical_cores == 32  # original untouched
-
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError):
             ResourceAllocation(logical_cores=0)

@@ -10,7 +10,7 @@ from repro.core.colocation import ColocationScenario, TenantSpec, run_colocated_
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.knobs import ResourceAllocation
 from repro.core.resultcache import ResultCache
-from repro.core.runner import map_ordered, run_one, with_seeds
+from repro.core.runner import map_ordered, run_one
 from repro.core.sweeps import run_sweep
 from repro.errors import ConfigurationError
 from repro.hardware.machine import MachineSpec
@@ -167,21 +167,6 @@ class TestCachedRuns:
         run_sweep([config], cache=cache)
         retuned = ResultCache(tmp_path, token="model-v2")
         assert retuned.get(config) is None
-
-
-class TestWithSeeds:
-    def test_seeds_follow_base_and_stride(self):
-        configs = [ExperimentConfig(workload="asdb", scale_factor=2000,
-                                    duration=1.0)] * 3
-        seeded = with_seeds(configs, base_seed=100, stride=10)
-        assert [c.seed for c in seeded] == [100, 110, 120]
-        assert all(c.workload == "asdb" for c in seeded)
-
-    def test_originals_untouched(self):
-        config = ExperimentConfig(workload="asdb", scale_factor=2000,
-                                  duration=1.0, seed=0)
-        with_seeds([config], base_seed=42)
-        assert config.seed == 0
 
 
 class TestPickleRoundTrip:

@@ -69,12 +69,6 @@ class TestDatabase:
                 Table(name="t", rows=10, row_bytes=8.0, storage=StorageFormat.COLUMN)
             )
 
-    def test_fits_in_memory_uses_engine_fraction(self):
-        db = self._db()
-        db.add_table(Table(name="t", rows=1000, row_bytes=1000.0))  # 1 MB
-        assert db.fits_in_memory(2e6)
-        assert not db.fits_in_memory(1e6)  # 80% of 1 MB < 1 MB
-
 
 class TestInterpolation:
     def test_exact_points(self):

@@ -239,6 +239,20 @@ class TestReplication:
         assert report.completed > 0
         assert len(report.episodes) == 1
 
+    def test_divergence_repair_survives_a_later_crash(self):
+        # Seed 2 truncates a rejoining replica's WAL below its published
+        # checkpoint LSN; the replica's next crash image must not claim
+        # the dropped records.
+        spec = FleetSpec(shards=2, duration=3.0, replication=3,
+                         arrival=ArrivalSpec(offered_tps=150.0),
+                         tenants=default_tenants(2))
+        schedule = generate_schedule(seed=2, duration=3.0,
+                                     kinds=("crash", "partition"),
+                                     replicas=2, episodes=4)
+        report = run_fleet(spec, schedule=schedule)
+        assert report.completed > 0
+        assert len(report.episodes) == 4
+
 
 class TestFleetSloView:
     def test_rows_sorted_most_protected_first(self):

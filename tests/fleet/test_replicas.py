@@ -167,6 +167,15 @@ class TestRejoin:
         assert all(r.lsn != orphan_lsn or r.txn_id != 999
                    for r in deposed.wal.durable_records)
 
+    def test_truncation_lowers_the_checkpoint_lsn(self):
+        sim, group = build_fleet(replicas=3)
+        run_writes(sim, group, 3, until=1.0)
+        replica = group.replicas[1]
+        replica.engine.checkpoint.checkpoint_lsn = replica.durable_lsn
+        replica.truncate_to(replica.durable_lsn - 2)
+        assert replica.checkpoint_lsn == replica.durable_lsn
+        replica.crash()  # the crash image's checkpoint is durable
+
     def test_rejoin_of_the_primary_itself_just_unfences(self):
         sim, group = build_fleet(replicas=3)
         primary = group.primary

@@ -155,36 +155,8 @@ class TestMissRatioCurve:
         assert 0.0 <= mrc.mpki(alloc) <= mrc.total_accesses_per_ki() + 1e-9
 
 
-class TestVectorizedMrc:
-    """mpki_array / hit_ratio_array against the scalar reference."""
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=float(256 * MIB)),
-            min_size=1, max_size=64,
-        ),
-        st.floats(min_value=0.25, max_value=4.0),
-    )
-    def test_mpki_array_matches_scalar(self, allocations, scale):
-        import numpy as np
-        mrc = simple_mrc()
-        vector = mrc.mpki_array(np.asarray(allocations), footprint_scale=scale)
-        scalar = [mrc.mpki(a, footprint_scale=scale) for a in allocations]
-        assert np.allclose(vector, scalar, rtol=1e-12, atol=1e-12)
-
-    def test_hit_ratio_array_matches_scalar(self):
-        import numpy as np
-        mrc = simple_mrc()
-        allocations = np.linspace(0, 64 * MIB, 257)
-        vector = mrc.hit_ratio_array(allocations)
-        scalar = [mrc.hit_ratio(a) for a in allocations]
-        assert np.allclose(vector, scalar, rtol=1e-12, atol=1e-12)
-
-    def test_array_shape_is_preserved(self):
-        import numpy as np
-        mrc = simple_mrc()
-        grid = np.linspace(0, 32 * MIB, 12).reshape(3, 4)
-        assert mrc.mpki_array(grid).shape == (3, 4)
+class TestPrecomputedMrc:
+    """What the curve and its components precompute at construction."""
 
     def test_knee_bytes_is_cached_tuple(self):
         mrc = simple_mrc()

@@ -1,10 +1,10 @@
-"""Tests for FCFS server, processor sharing, and token bucket."""
+"""Tests for the FCFS server and the token bucket."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.process import Simulator, Timeout
-from repro.sim.resources import FcfsServer, ProcessorSharingServer, TokenBucket
+from repro.sim.resources import FcfsServer, TokenBucket
 
 
 class TestFcfsServer:
@@ -71,71 +71,6 @@ class TestFcfsServer:
         with pytest.raises(SimulationError, match="capacity=nan"):
             server.set_capacity(float("nan"))
         assert server.capacity == 2
-
-
-class TestProcessorSharing:
-    def test_single_job_runs_at_full_rate(self):
-        sim = Simulator()
-        cpu = ProcessorSharingServer(sim, capacity=2.0)
-        finish = []
-        def worker():
-            yield from cpu.submit(4.0)
-            finish.append(sim.now)
-        sim.spawn(worker())
-        sim.run()
-        assert finish == [pytest.approx(2.0)]
-
-    def test_two_equal_jobs_share_capacity(self):
-        sim = Simulator()
-        cpu = ProcessorSharingServer(sim, capacity=1.0)
-        finish = []
-        def worker():
-            yield from cpu.submit(1.0)
-            finish.append(sim.now)
-        sim.spawn(worker())
-        sim.spawn(worker())
-        sim.run()
-        # Both jobs run at rate 1/2 -> both complete at t=2.
-        assert finish == [pytest.approx(2.0), pytest.approx(2.0)]
-
-    def test_late_arrival_slows_first_job(self):
-        sim = Simulator()
-        cpu = ProcessorSharingServer(sim, capacity=1.0)
-        finish = {}
-        def first():
-            yield from cpu.submit(2.0)
-            finish["first"] = sim.now
-        def second():
-            yield Timeout(1.0)
-            yield from cpu.submit(0.5)
-            finish["second"] = sim.now
-        sim.spawn(first())
-        sim.spawn(second())
-        sim.run()
-        # First runs alone [0,1) doing 1 unit; shares [1,2) doing 0.5;
-        # second finishes its 0.5 at t=2; first then finishes 0.5 at 2.5.
-        assert finish["second"] == pytest.approx(2.0)
-        assert finish["first"] == pytest.approx(2.5)
-
-    def test_zero_work_completes_immediately(self):
-        sim = Simulator()
-        cpu = ProcessorSharingServer(sim, capacity=1.0)
-        def worker():
-            yield from cpu.submit(0.0)
-            return sim.now
-        proc = sim.spawn(worker())
-        sim.run()
-        assert proc.result == 0.0
-
-    def test_work_conservation(self):
-        sim = Simulator()
-        cpu = ProcessorSharingServer(sim, capacity=3.0)
-        def worker(amount):
-            yield from cpu.submit(amount)
-        for amount in (1.0, 2.5, 0.25, 4.0):
-            sim.spawn(worker(amount))
-        sim.run()
-        assert cpu.total_work_done == pytest.approx(7.75)
 
 
 class TestTokenBucket:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.process import Simulator, Timeout
-from repro.sim.resources import ProcessorSharingServer
 from repro.sim.waterfill import WaterfillServer, _fill, waterfill
 
 
@@ -534,15 +533,3 @@ class TestSubmitRejectsBadInputs:
             WaterfillServer(sim, capacity)
         with pytest.raises(SimulationError, match="capacity="):
             WaterfillServer(sim, 1.0).set_capacity(capacity)
-
-    def test_processor_sharing_keeps_its_infinite_cap(self):
-        sim = Simulator()
-        server = ProcessorSharingServer(sim, capacity=2.0)
-
-        def worker():
-            yield from server.submit(3.0)
-            return sim.now
-
-        proc = sim.spawn(worker())
-        sim.run()
-        assert proc.result == 1.5
