@@ -57,6 +57,19 @@ def _job_count(text: str) -> int:
     return value
 
 
+def _listed(kind):
+    """argparse type for a comma-separated list of *kind* values: an
+    empty list or a malformed item is a usage error (exit 2)."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(item) for item in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list of {kind.__name__}s, "
+                f"got {text!r}") from None
+    return parse
+
+
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
     """The result-cache knobs (also used alone by whatif)."""
     parser.add_argument(
@@ -211,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     admission.add_argument("--scale-factor", type=int, default=100)
     admission.add_argument(
-        "--oversub", default="1,4,16", metavar="L1,L2,...",
+        "--oversub", type=_listed(int), default="1,4,16", metavar="L1,L2,...",
         help="comma-separated oversubscription levels relative to the "
         "pool's natural concurrency (default: 1,4,16)",
     )
@@ -248,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chaos.add_argument("--seed", type=int, default=0,
                        help="schedule seed (default: 0)")
-    chaos.add_argument("--seeds", default=None, metavar="S1,S2,...",
+    chaos.add_argument("--seeds", type=_listed(int), default=None,
+                       metavar="S1,S2,...",
                        help="comma-separated seeds for a soak; overrides "
                        "--seed")
     chaos.add_argument("--duration", type=float, default=3.0,
@@ -299,7 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--offered-tps", type=float, default=300.0,
                        help="base offered rate before oversubscription "
                        "(default: 300)")
-    fleet.add_argument("--oversub", default="1,4,16", metavar="F1,F2,...",
+    fleet.add_argument("--oversub", type=_listed(float), default="1,4,16",
+                       metavar="F1,F2,...",
                        help="oversubscription multipliers (default: 1,4,16)")
     fleet.add_argument("--duration", type=float, default=6.0,
                        help="simulated seconds per point (default: 6)")
@@ -313,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enable the deterministic autoscaler")
     fleet.add_argument("--max-shards", type=int, default=16,
                        help="autoscaler ceiling (default: 16)")
-    fleet.add_argument("--chaos", default=None, metavar="SCENARIO",
+    fleet.add_argument("--chaos", choices=sorted(SCENARIOS), default=None,
                        help="compose a seeded chaos schedule of this "
                        "scenario into every point")
     fleet.add_argument("--seed", type=int, default=0)
@@ -337,8 +352,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     whatif.add_argument("workload", choices=sorted(WORKLOADS))
     whatif.add_argument("scale_factor", type=int)
-    whatif.add_argument("--cores", default="32", metavar="C1,C2,...")
-    whatif.add_argument("--llc-mb", default="40", metavar="M1,M2,...")
+    whatif.add_argument("--cores", type=_listed(int), default="32",
+                        metavar="C1,C2,...")
+    whatif.add_argument("--llc-mb", type=_listed(int), default="40",
+                        metavar="M1,M2,...")
     whatif.add_argument("--maxdop", type=int, default=None)
     whatif.add_argument("--grant-percent", type=float, default=25.0)
     whatif.add_argument("--duration", type=float, default=None,
@@ -453,13 +470,6 @@ def _cmd_whatif(args) -> int:
     from repro.core.experiment import ExperimentConfig
     from repro.errors import ConfigurationError
 
-    try:
-        cores_axis = [int(c) for c in args.cores.split(",") if c.strip()]
-        llc_axis = [int(m) for m in args.llc_mb.split(",") if m.strip()]
-    except ValueError:
-        print(f"invalid --cores/--llc-mb list: {args.cores!r} / "
-              f"{args.llc_mb!r}", file=sys.stderr)
-        return 2
     duration = args.duration or duration_for(args.workload, args.scale_factor)
     try:
         configs = [
@@ -471,7 +481,7 @@ def _cmd_whatif(args) -> int:
                 ),
                 duration=duration, seed=args.seed,
             )
-            for cores in cores_axis for llc in llc_axis
+            for cores in args.cores for llc in args.llc_mb
         ]
     except ConfigurationError as exc:
         print(f"whatif: {exc}", file=sys.stderr)
@@ -557,16 +567,11 @@ def _cmd_admission(args) -> int:
     """
     from repro.core.admission import ADMISSION_POLICIES, sweep_admission_policies
 
-    try:
-        levels = tuple(int(x) for x in args.oversub.split(",") if x.strip())
-    except ValueError:
-        print(f"invalid --oversub list: {args.oversub!r}", file=sys.stderr)
-        return 2
     policies = (ADMISSION_POLICIES if args.admission_policy == "all"
                 else (args.admission_policy,))
     sweep = sweep_admission_policies(
         scale_factor=args.scale_factor,
-        oversubscription=levels,
+        oversubscription=args.oversub,
         policies=policies,
         base_streams=args.base_streams,
         duration_scale=args.duration_scale,
@@ -695,10 +700,7 @@ def _cmd_chaos(args) -> int:
     from repro.core.journal import SweepJournal
     from repro.faults.chaos import ChaosConfig, run_chaos
 
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    else:
-        seeds = [args.seed]
+    seeds = args.seeds or (args.seed,)
     journal = SweepJournal(args.journal) if args.journal else None
     violations = 0
     for seed in seeds:
@@ -758,7 +760,6 @@ def _cmd_fleet(args) -> int:
     matrix asserts on ``fleet-complete:``, ``slo-invariant:``,
     ``monotone-degradation:``, and ``shed-fairness:`` markers.
     """
-    from repro.engine.statistics import dm_fleet_slo
     from repro.fleet.autoscale import AutoscalePolicy
     from repro.fleet.cluster import (
         FleetSpec,
@@ -767,11 +768,6 @@ def _cmd_fleet(args) -> int:
     )
     from repro.workloads.arrivals import ArrivalSpec
 
-    try:
-        levels = tuple(float(x) for x in args.oversub.split(",") if x.strip())
-    except ValueError:
-        print(f"invalid --oversub list: {args.oversub!r}", file=sys.stderr)
-        return 2
     autoscale = None
     if args.autoscale:
         autoscale = AutoscalePolicy(min_shards=args.shards,
@@ -791,11 +787,6 @@ def _cmd_fleet(args) -> int:
     if args.chaos:
         from repro.faults.chaos import SCENARIOS, generate_schedule
 
-        if args.chaos not in SCENARIOS:
-            print(f"unknown chaos scenario: {args.chaos!r} "
-                  f"(choose from {', '.join(sorted(SCENARIOS))})",
-                  file=sys.stderr)
-            return 2
         kinds = SCENARIOS[args.chaos]
         if kinds:
             schedule = generate_schedule(
@@ -803,16 +794,17 @@ def _cmd_fleet(args) -> int:
                 replicas=args.shards, episodes=3,
             )
     sweep = fleet_oversubscription_sweep(
-        spec, oversubscription=levels, jobs=args.jobs,
+        spec, oversubscription=args.oversub, jobs=args.jobs,
         journal=args.journal, schedule=schedule,
     )
     for oversub, report in zip(sweep.oversubscription, sweep.reports):
         rows = [
-            (row.tenant, row.priority, row.arrivals, row.shed, row.governed,
-             f"{row.goodput_tps:.1f}", f"{row.p50_ms:.1f}",
-             f"{row.p99_ms:.1f}", f"{row.p999_ms:.1f}",
-             "ok" if row.slo_ok else "VIOLATED")
-            for row in dm_fleet_slo(report)
+            (t.name, t.priority, t.arrivals, t.shed, t.governed,
+             f"{t.goodput_tps:.1f}", f"{t.p50_ms:.1f}",
+             f"{t.p99_ms:.1f}", f"{t.p999_ms:.1f}",
+             "ok" if t.slo_ok else "VIOLATED")
+            for t in sorted(report.tenants.values(),
+                            key=lambda t: (t.priority, t.name))
         ]
         print(format_table(
             ["tenant", "prio", "arrivals", "shed", "governed", "tps",

@@ -22,12 +22,7 @@ from repro.core.knobs import (
     MAXDOP_SWEEP,
     ResourceAllocation,
 )
-from repro.core.colocation import (
-    ColocationScenario,
-    TenantSpec,
-    run_colocated,
-    run_colocated_scenarios,
-)
+from repro.core.colocation import TenantSpec, run_colocated
 from repro.core.journal import SweepJournal
 from repro.core.measurement import Measurement
 from repro.core.resultcache import ResultCache, calibration_token, config_digest
@@ -59,10 +54,8 @@ __all__ = [
     "MAXDOP_SWEEP",
     "ResourceAllocation",
     "Measurement",
-    "ColocationScenario",
     "TenantSpec",
     "run_colocated",
-    "run_colocated_scenarios",
     "ResultCache",
     "calibration_token",
     "config_digest",

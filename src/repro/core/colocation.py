@@ -161,50 +161,3 @@ def run_colocated(
         )
         for tenant, tracker, workload in runs
     ]
-
-
-# ---------------------------------------------------------------------------
-# Scenario grids
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ColocationScenario:
-    """One co-location configuration in a placement-search grid.
-
-    Tenants inside a scenario share a machine and must run together, but
-    *scenarios* are independent experiments — a partition-search grid
-    (e.g. every split of 32 cores between two tenants) parallelizes
-    across scenarios exactly like a sweep parallelizes across
-    allocations.
-    """
-
-    name: str
-    tenants: Tuple[TenantSpec, ...]
-    duration: float = 15.0
-    seed: int = 0
-
-
-def _run_scenario(scenario: ColocationScenario) -> List[TenantResult]:
-    """Module-level worker so process pools can pickle the call."""
-    return run_colocated(
-        scenario.tenants, duration=scenario.duration, seed=scenario.seed
-    )
-
-
-def run_colocated_scenarios(
-    scenarios: Sequence[ColocationScenario], jobs: int = 1
-) -> Dict[str, List[TenantResult]]:
-    """Run many co-location scenarios, optionally across worker processes.
-
-    Returns ``{scenario name: [TenantResult, ...]}`` in input order.
-    Each scenario builds its own base machine and simulator, so parallel
-    execution is deterministic — the same guarantee
-    :func:`repro.core.runner.run_sweep` gives single-tenant sweeps.
-    """
-    from repro.core.runner import map_ordered
-
-    names = [s.name for s in scenarios]
-    if len(set(names)) != len(names):
-        raise ConfigurationError("scenario names must be unique")
-    results = map_ordered(_run_scenario, list(scenarios), jobs=jobs)
-    return dict(zip(names, results))

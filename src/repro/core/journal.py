@@ -26,7 +26,7 @@ chaos-episode    faults.chaos                one episode's kind/at/duration
 failover         faults.chaos                promotion epoch + window
 chaos-report     faults.chaos                invariant verdicts + digest
 fleet-traffic    fleet.cluster sweeps        fleet point: spec digest +
-                                             full FleetReport payload
+                                             asdict(FleetReport)
                                              (replayed on resume)
 ===============  ==========================  =================================
 

@@ -75,42 +75,6 @@ def dm_exec_query_memory_grants(engine: SqlEngine, specs) -> List[MemoryGrantRow
 
 
 @dataclass(frozen=True)
-class ResourceSemaphoreRow:
-    """A ``dm_exec_query_resource_semaphores``-style snapshot of the
-    grant queue: pool state plus the cumulative overload counters."""
-
-    pool_kb: float
-    available_kb: float
-    waiter_count: int
-    grant_requests: int
-    grant_waits: int
-    grant_wait_ms: float
-    grant_timeouts: int
-    grant_degrades: int
-    grant_bypasses: int
-    grant_throttles: int
-    grant_queue_peak: int
-
-
-def dm_exec_query_resource_semaphores(engine: SqlEngine) -> ResourceSemaphoreRow:
-    sem = engine.semaphore
-    stats = sem.summary()
-    return ResourceSemaphoreRow(
-        pool_kb=sem.pool_bytes / 1024.0,
-        available_kb=sem.free_bytes / 1024.0,
-        waiter_count=sem.waiter_count,
-        grant_requests=stats["grant_requests"],
-        grant_waits=stats["grant_waits"],
-        grant_wait_ms=stats["grant_wait_seconds"] * 1000.0,
-        grant_timeouts=stats["grant_timeouts"],
-        grant_degrades=stats["grant_degrades"],
-        grant_bypasses=stats["grant_bypasses"],
-        grant_throttles=stats["grant_throttles"],
-        grant_queue_peak=stats["grant_queue_peak"],
-    )
-
-
-@dataclass(frozen=True)
 class BufferPoolSummary:
     """A ``dm_os_buffer_descriptors`` aggregate."""
 
@@ -220,57 +184,3 @@ def pcm_snapshot(engine: SqlEngine) -> List[PerfCounterRow]:
         PerfCounterRow(counter=name, value=value)
         for name, value in sorted(engine.counter_totals().items())
     ]
-
-
-@dataclass(frozen=True)
-class FleetSloRow:
-    """One row of ``dm_fleet_slo``: a tenant's traffic outcome against
-    its purchased SLO."""
-
-    tenant: str
-    priority: int
-    arrivals: int
-    completed: int
-    shed: int
-    governed: int
-    goodput_tps: float
-    p50_ms: float
-    p99_ms: float
-    p999_ms: float
-    slo_p99_ms: float
-    slo_ok: bool
-    first_shed_at: float        #: NaN when the tenant never shed
-
-
-def dm_fleet_slo(report) -> List[FleetSloRow]:
-    """Per-tenant SLO attainment for a fleet-traffic run, most
-    protected class first.
-
-    Duck-typed over :class:`~repro.fleet.cluster.FleetReport` (needs
-    ``tenants`` mapping names to per-tenant stats) so this module stays
-    importable without the fleet package loaded.
-    """
-    rows = []
-    for name in sorted(report.tenants):
-        stats = report.tenants[name]
-        rows.append(
-            FleetSloRow(
-                tenant=stats.name,
-                priority=stats.priority,
-                arrivals=stats.arrivals,
-                completed=stats.completed,
-                shed=stats.shed,
-                governed=stats.governed,
-                goodput_tps=stats.goodput_tps,
-                p50_ms=stats.p50_ms,
-                p99_ms=stats.p99_ms,
-                p999_ms=stats.p999_ms,
-                slo_p99_ms=stats.slo_p99_ms,
-                slo_ok=stats.slo_ok,
-                first_shed_at=(stats.first_shed_at
-                               if stats.first_shed_at is not None
-                               else float("nan")),
-            )
-        )
-    rows.sort(key=lambda row: (row.priority, row.tenant))
-    return rows

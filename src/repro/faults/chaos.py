@@ -81,6 +81,18 @@ SCENARIOS: Dict[str, Tuple[str, ...]] = {
     "none": (),
 }
 
+#: The client load every chaos run drives: writer and reader processes
+#: with exponential think times (mean interval, seconds) against an ASDB
+#: replica group on the seed engine.  Reads are
+#: :data:`~repro.fleet.hedging.READ_BYTES` point reads.
+WORKLOAD = "asdb"
+SCALE_FACTOR = 10
+WRITERS = 4
+READERS = 4
+WRITE_INTERVAL = 0.02
+READ_INTERVAL = 0.01
+WRITE_BYTES = 16 * KIB
+
 #: Tolerance on invariant (c): hedged p99 may exceed unhedged p99 by at
 #: most this relative slack (hedging must never *hurt* the tail, but two
 #: different interleavings can tie to within scheduling noise).
@@ -108,15 +120,6 @@ class ChaosConfig:
     scenario: str = "mixed"
     episodes: int = 3
     hedging: bool = True
-    workload: str = "asdb"
-    scale_factor: int = 10
-    backend: str = DEFAULT_BACKEND
-    writers: int = 4
-    readers: int = 4
-    write_interval: float = 0.02
-    read_interval: float = 0.01
-    write_bytes: float = 16 * KIB
-    read_bytes: float = 256 * KIB
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -201,8 +204,8 @@ class _FleetRun:
             self.sim,
             [self.streams.fork(f"replica{i}").seed
              for i in range(config.replicas)],
-            make_workload(config.workload, config.scale_factor),
-            make_backend(config.backend),
+            make_workload(WORKLOAD, SCALE_FACTOR),
+            make_backend(DEFAULT_BACKEND),
             ResourceAllocation(),
         )
         self.reader = HedgedReader(
@@ -213,7 +216,6 @@ class _FleetRun:
             # default bucket is sized for steady state, not chaos soaks.
             budget=RetryBudget(self.sim, capacity=64.0, refill_per_s=32.0),
             enabled=hedging,
-            read_bytes=config.read_bytes,
         )
         self.write_latencies: List[float] = []
         self.read_latencies: List[float] = []
@@ -224,18 +226,17 @@ class _FleetRun:
     def _writer(self, wid: int, ids) -> Generator:
         rng = self.streams.get(f"writer{wid}")
         while True:
-            yield Timeout(float(rng.exponential(self.config.write_interval)))
+            yield Timeout(float(rng.exponential(WRITE_INTERVAL)))
             txn_id = next(ids)
             start = self.sim.now
-            yield from self.group.submit_write(self.config.write_bytes,
-                                               txn_id=txn_id)
+            yield from self.group.submit_write(WRITE_BYTES, txn_id=txn_id)
             self.write_latencies.append(self.sim.now - start)
 
     def _reader_proc(self, rid: int) -> Generator:
         rng = self.streams.get(f"reader{rid}")
         tenant = f"tenant{rid % 2}"
         while True:
-            yield Timeout(float(rng.exponential(self.config.read_interval)))
+            yield Timeout(float(rng.exponential(READ_INTERVAL)))
             latency = yield from self.reader.read(tenant=tenant)
             self.read_latencies.append(latency)
 
@@ -272,9 +273,9 @@ class _FleetRun:
 
     def run(self) -> None:
         ids = itertools.count()
-        for wid in range(self.config.writers):
+        for wid in range(WRITERS):
             self.sim.spawn(self._writer(wid, ids), name=f"chaos-writer-{wid}")
-        for rid in range(self.config.readers):
+        for rid in range(READERS):
             self.sim.spawn(self._reader_proc(rid), name=f"chaos-reader-{rid}")
         for i, episode in enumerate(self.schedule):
             self.sim.spawn(self._drive(episode), name=f"chaos-episode-{i}")

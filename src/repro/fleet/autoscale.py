@@ -32,7 +32,7 @@ seed-invariance property test locks in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Generator, List, Optional
 
 from repro.backends.serverless import COLD_START_SECONDS
@@ -85,18 +85,6 @@ class ScalingDecision:
     shed_signal: int                #: sheds over the interval
     ready_at: float                 #: when the new capacity takes traffic
                                     #: (== at for scale-in)
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "at": self.at,
-            "action": self.action,
-            "shards_before": self.shards_before,
-            "shards_after": self.shards_after,
-            "queue_signal": self.queue_signal,
-            "grant_wait_signal": self.grant_wait_signal,
-            "shed_signal": self.shed_signal,
-            "ready_at": self.ready_at,
-        }
 
 
 class Autoscaler:
@@ -193,7 +181,7 @@ class Autoscaler:
 
     def summary(self) -> Dict[str, object]:
         return {
-            "decisions": [d.payload() for d in self.decisions],
+            "decisions": [asdict(d) for d in self.decisions],
             "scale_outs": sum(1 for d in self.decisions if d.action == "out"),
             "scale_ins": sum(1 for d in self.decisions if d.action == "in"),
             "overload_onset": self.overload_onset,

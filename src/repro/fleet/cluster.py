@@ -50,16 +50,17 @@ past capacity.  The pieces:
   cold-start cost for each scale-out.
 
 Outputs are tail-first: :class:`FleetReport` carries p50/p99/p999 per
-tenant and fleet-wide, the scaling timeline, and a canonical payload
-(sha256-digestable for determinism checks and journal resume).  The
-``dm_fleet_slo`` DMV (:mod:`repro.engine.statistics`) renders the same
-data as a management view.
+tenant and fleet-wide, the scaling timeline and the chaos episodes.  It
+holds only primitives and :class:`TenantStats`, so
+:func:`dataclasses.asdict` is its canonical form: the determinism digest
+hashes it and journal lines store it for resume.  ``repro fleet`` prints
+the :class:`TenantStats` rows, most-protected class first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.backends import make_backend
@@ -242,8 +243,9 @@ class _Shard:
 
 @dataclass(frozen=True)
 class TenantStats:
-    """One tenant's fleet-SLO outcome (primitives only, so reports
-    reconstruct losslessly from journal payloads)."""
+    """One tenant's fleet-SLO outcome: a row of the ``repro fleet``
+    table.  Primitive fields only, so a journal line's ``asdict`` form
+    rebuilds it with ``TenantStats(**row)``."""
 
     name: str
     priority: int
@@ -265,12 +267,6 @@ class TenantStats:
         return self.completed / self.arrivals
 
     @property
-    def shed_fraction(self) -> float:
-        if self.arrivals == 0:
-            return 0.0
-        return self.shed / self.arrivals
-
-    @property
     def slo_ok(self) -> bool:
         """SLO attainment: NaN p99 (a tenant with traffic but no
         completions) counts as a violation, not a pass."""
@@ -279,25 +275,6 @@ class TenantStats:
         if math.isnan(self.p99_ms):
             return False
         return self.p99_ms <= self.slo_p99_ms
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "name": self.name, "priority": self.priority,
-            "arrivals": self.arrivals, "completed": self.completed,
-            "shed": self.shed, "governed": self.governed,
-            "goodput_tps": self.goodput_tps,
-            "p50_ms": self.p50_ms, "p99_ms": self.p99_ms,
-            "p999_ms": self.p999_ms, "slo_p99_ms": self.slo_p99_ms,
-            "first_shed_at": self.first_shed_at,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "TenantStats":
-        return cls(**{k: payload[k] for k in (
-            "name", "priority", "arrivals", "completed", "shed", "governed",
-            "goodput_tps", "p50_ms", "p99_ms", "p999_ms", "slo_p99_ms",
-            "first_shed_at",
-        )})
 
 
 @dataclass
@@ -342,71 +319,25 @@ class FleetReport:
     def slo_ok(self) -> bool:
         return not self.protected_violations()
 
-    def to_payload(self) -> Dict[str, object]:
-        """Canonical primitive view (journal lines, digests)."""
-        return {
-            "shards_initial": self.shards_initial,
-            "shards_peak": self.shards_peak,
-            "shards_final": self.shards_final,
-            "offered_tps": self.offered_tps,
-            "trace": self.trace,
-            "duration": self.duration,
-            "seed": self.seed,
-            "arrivals": self.arrivals,
-            "completed": self.completed,
-            "shed": self.shed,
-            "governed": self.governed,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "p999_ms": self.p999_ms,
-            "tenants": {name: stats.payload()
-                        for name, stats in sorted(self.tenants.items())},
-            "per_shard": self.per_shard,
-            "scaling": self.scaling,
-            "reaction_seconds": self.reaction_seconds,
-            "episodes": self.episodes,
-            "first_refusal_by_priority": {
-                str(priority): at
-                for priority, at in sorted(self.first_refusal_by_priority.items())
-            },
-        }
-
     @classmethod
     def from_payload(cls, payload: Dict) -> "FleetReport":
-        tenants = {name: TenantStats.from_payload(stats)
-                   for name, stats in payload["tenants"].items()}
-        return cls(
-            shards_initial=payload["shards_initial"],
-            shards_peak=payload["shards_peak"],
-            shards_final=payload["shards_final"],
-            offered_tps=payload["offered_tps"],
-            trace=payload["trace"],
-            duration=payload["duration"],
-            seed=payload["seed"],
-            arrivals=payload["arrivals"],
-            completed=payload["completed"],
-            shed=payload["shed"],
-            governed=payload["governed"],
-            p50_ms=payload["p50_ms"],
-            p99_ms=payload["p99_ms"],
-            p999_ms=payload["p999_ms"],
-            tenants=tenants,
-            per_shard=list(payload["per_shard"]),
-            scaling=dict(payload["scaling"]),
-            reaction_seconds=payload["reaction_seconds"],
-            episodes=list(payload.get("episodes", [])),
-            first_refusal_by_priority={
-                int(priority): at
-                for priority, at in payload.get(
-                    "first_refusal_by_priority", {}).items()
-            },
-        )
+        """Rebuild a report from its ``asdict`` form as read back from a
+        journal line: JSON keeps neither the :class:`TenantStats` type
+        nor the int priority keys."""
+        return cls(**{
+            **payload,
+            "tenants": {name: TenantStats(**stats)
+                        for name, stats in payload["tenants"].items()},
+            "first_refusal_by_priority": {
+                int(priority): at for priority, at in payload.get(
+                    "first_refusal_by_priority", {}).items()},
+        })
 
     def digest(self) -> str:
         """Bit-exact fingerprint of everything a client observed —
-        sha256 over the canonical payload, the chaos-style determinism
-        handle."""
-        return canonical_digest(self.to_payload())
+        sha256 over the canonical ``asdict`` form, the chaos-style
+        determinism handle."""
+        return canonical_digest(asdict(self))
 
 
 class FleetCluster:
@@ -826,7 +757,7 @@ def fleet_oversubscription_sweep(
 
     With a :class:`~repro.core.journal.SweepJournal` (or a path), every
     completed point appends a ``fleet-traffic`` event line carrying the
-    spec digest and the full report payload — a re-invocation replays
+    spec digest and the report's ``asdict`` form — a re-invocation replays
     finished points from the journal and only simulates the holes.
     """
     from repro.core.journal import SweepJournal
@@ -863,7 +794,7 @@ def fleet_oversubscription_sweep(
         if journal is not None:
             journal.note("fleet-traffic", digest=digests[index],
                          oversubscription=float(oversubscription[index]),
-                         report=report.to_payload())
+                         report=asdict(report))
     return FleetSweep(
         oversubscription=[float(f) for f in oversubscription],
         reports=reports,  # type: ignore[arg-type]

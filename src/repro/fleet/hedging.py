@@ -36,6 +36,19 @@ from repro.sim.process import Simulator, Timeout
 from repro.sim.stats import Cdf
 from repro.units import KIB, mb_per_s
 
+#: Size of one client point read, and the page it is read in.
+READ_BYTES = 256 * KIB
+PAGE_BYTES = 8 * KIB
+#: Hedge after the client-observed latency passes this percentile.
+HEDGE_PERCENTILE = 95.0
+#: A hedge is shed when the candidate replica has this many grant waiters.
+QUEUE_DEPTH_LIMIT = 8
+#: Floor on the hedge delay: 1.5x the unloaded service time of one read
+#: (per-page seek latency + bandwidth), so a cold reader with no samples
+#: yet does not hedge every single request.
+MIN_HEDGE_DELAY = 1.5 * (READ_BYTES / PAGE_BYTES * RANDOM_READ_LATENCY
+                         + READ_BYTES / mb_per_s(2500))
+
 
 class RetryBudget:
     """Per-tenant token buckets bounding retry/hedge amplification.
@@ -94,28 +107,11 @@ class HedgedReader:
         monitor: Optional[HeartbeatMonitor] = None,
         budget: Optional[RetryBudget] = None,
         enabled: bool = True,
-        read_bytes: float = 256 * KIB,
-        page_bytes: int = 8 * 1024,
-        hedge_percentile: float = 95.0,
-        min_hedge_delay: Optional[float] = None,
-        queue_depth_limit: int = 8,
     ):
         self.group = group
         self.monitor = monitor
         self.budget = budget if budget is not None else RetryBudget(group._sim)
         self.enabled = enabled
-        self.read_bytes = read_bytes
-        self.page_bytes = page_bytes
-        self.hedge_percentile = hedge_percentile
-        if min_hedge_delay is None:
-            # Default floor: 1.5x the unloaded service time of one read
-            # (per-page seek latency + bandwidth), so a cold reader with
-            # no samples yet does not hedge every single request.
-            pages = max(read_bytes / page_bytes, 1.0)
-            min_hedge_delay = 1.5 * (pages * RANDOM_READ_LATENCY
-                                     + read_bytes / mb_per_s(2500))
-        self.min_hedge_delay = min_hedge_delay
-        self.queue_depth_limit = queue_depth_limit
         self._sim = group._sim
         #: Client-observed read latency distribution (first completion
         #: per read) — the p99 the chaos scheduler's hedging invariant
@@ -152,8 +148,8 @@ class HedgedReader:
         return candidates[0]
 
     def _hedge_delay(self) -> float:
-        """p95 of *client-observed* latency (floor: the configured
-        minimum, so cold starts don't hedge instantly).
+        """p95 of *client-observed* latency (floor:
+        :data:`MIN_HEDGE_DELAY`, so cold starts don't hedge instantly).
 
         Deliberately not the target replica's own service times: a
         straggling replica contaminates its per-replica window within a
@@ -161,9 +157,9 @@ class HedgedReader:
         matters.  The client distribution is self-stabilizing — hedge
         wins keep it (and therefore the delay) near the healthy p95."""
         if len(self.latencies) < 8:
-            return self.min_hedge_delay
-        return max(self.latencies.percentile(self.hedge_percentile),
-                   self.min_hedge_delay)
+            return MIN_HEDGE_DELAY
+        return max(self.latencies.percentile(HEDGE_PERCENTILE),
+                   MIN_HEDGE_DELAY)
 
     # -- execution ---------------------------------------------------------------
 
@@ -195,8 +191,7 @@ class HedgedReader:
             # streaming transfer: a brownout or saturated device shows
             # up as queueing delay, which is what hedging exists to dodge.
             yield from replica.machine.ssd.read_pages(
-                max(self.read_bytes / self.page_bytes, 1.0), self.page_bytes
-            )
+                READ_BYTES / PAGE_BYTES, PAGE_BYTES)
         except FaultInjectionError:
             return None  # the surviving attempt (if any) resolves the read
         elapsed = self._sim.now - started
@@ -217,7 +212,7 @@ class HedgedReader:
             return None
         if (alternate.machine.ssd.browned_out
                 or alternate.engine.semaphore.waiter_count
-                >= self.queue_depth_limit):
+                >= QUEUE_DEPTH_LIMIT):
             # Brownout-aware shed: the only spare replica is itself
             # struggling — piling a hedge on it would deepen the tail.
             self.sheds += 1

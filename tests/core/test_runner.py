@@ -6,7 +6,6 @@ import pickle
 
 import pytest
 
-from repro.core.colocation import ColocationScenario, TenantSpec, run_colocated_scenarios
 from repro.core.experiment import ExperimentConfig, run_experiment
 from repro.core.knobs import ResourceAllocation
 from repro.core.resultcache import ResultCache
@@ -76,37 +75,6 @@ class TestDeterminism:
                                   duration=3.0, seed=9)
         direct = run_experiment("asdb", 2000, duration=3.0, seed=9)
         assert run_one(config).primary_metric == direct.primary_metric
-
-    def test_colocation_scenarios_parallel_identical(self):
-        scenarios = [
-            ColocationScenario(
-                name=f"split-{cores}",
-                tenants=(
-                    TenantSpec("oltp", "asdb", 2000,
-                               logical_cores=cores, llc_mb=20),
-                    TenantSpec("olap", "tpch", 10,
-                               logical_cores=32 - cores, llc_mb=20),
-                ),
-                duration=3.0,
-            )
-            for cores in (8, 24)
-        ]
-        serial = run_colocated_scenarios(scenarios, jobs=1)
-        parallel = run_colocated_scenarios(scenarios, jobs=2)
-        assert list(serial) == ["split-8", "split-24"]
-        for name in serial:
-            assert [t.primary_metric for t in serial[name]] == \
-                [t.primary_metric for t in parallel[name]]
-
-    def test_colocation_duplicate_names_rejected(self):
-        scenario = ColocationScenario(
-            name="dup",
-            tenants=(TenantSpec("a", "asdb", 2000,
-                                logical_cores=8, llc_mb=10),),
-            duration=1.0,
-        )
-        with pytest.raises(ConfigurationError):
-            run_colocated_scenarios([scenario, scenario])
 
 
 class TestCachedRuns:

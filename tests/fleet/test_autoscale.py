@@ -1,13 +1,19 @@
 """Autoscaler: seed invariance, reaction, cold starts, scale-in."""
 
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults.chaos import generate_schedule
+from repro.fleet import cluster
 from repro.fleet.autoscale import AutoscalePolicy
 from repro.fleet.cluster import (
     FleetSpec,
+    TenantSpec,
+    TenantStats,
     default_tenants,
     fleet_oversubscription_sweep,
     run_fleet,
@@ -25,6 +31,28 @@ FLASH = FleetSpec(
     capacity_per_shard=8,
     autoscale=AutoscalePolicy(min_shards=2, max_shards=8, cooldown_s=1.0),
 )
+
+
+#: A governed, autoscaled, chaos-faulted flash crowd whose 4x point
+#: sheds in every priority class: every field of a journaled report is
+#: populated.
+PINNED_SPEC = FleetSpec(
+    shards=2, duration=2.5, seed=5,
+    arrival=ArrivalSpec(offered_tps=250.0, trace="flash-crowd"),
+    tenants=(TenantSpec(name="gold", priority=0, weight=2.0),
+             TenantSpec(name="silver", priority=1, rate_limit_tps=40.0),
+             TenantSpec(name="bronze", priority=2)),
+    capacity_per_shard=8,
+    autoscale=AutoscalePolicy(min_shards=2, max_shards=4, cooldown_s=0.5,
+                              interval_s=0.25),
+)
+PINNED_SCHEDULE = generate_schedule(3, 2.5, ("crash", "brownout", "storm"),
+                                    replicas=2, episodes=2)
+#: The ``fleet-traffic`` line of :data:`PINNED_SPEC` at 4x, as written
+#: by the hand-built report payloads that ``dataclasses.asdict`` replaced.
+PINNED_JOURNAL = Path(__file__).parent / "data" / "fleet-traffic.jsonl"
+PINNED_DIGEST = \
+    "6edc8b3f315d15d7affc86e3211f808c0a5afb1e038daa3ebaf69cc7aa0dccc0"
 
 
 class TestPolicyValidation:
@@ -127,3 +155,28 @@ class TestJournalResume:
                                      schedule=schedule)
         clean = fleet_oversubscription_sweep(spec, (1.0,), journal=journal)
         assert clean.resumed == 0
+
+    def test_a_pinned_journal_line_replays_without_simulating(
+            self, tmp_path, monkeypatch):
+        journal = tmp_path / "fleet.jsonl"
+        shutil.copy(PINNED_JOURNAL, journal)
+
+        def simulate(*_args, **_kwargs):
+            raise AssertionError("a journaled point was simulated")
+
+        monkeypatch.setattr(cluster, "run_fleet", simulate)
+        sweep = fleet_oversubscription_sweep(
+            PINNED_SPEC, (4.0,), journal=journal, schedule=PINNED_SCHEDULE)
+        assert sweep.resumed == 1
+        report = sweep.reports[0]
+        assert report.digest() == PINNED_DIGEST
+        assert all(type(t) is TenantStats for t in report.tenants.values())
+        assert sorted(report.first_refusal_by_priority) == [0, 1, 2]
+        assert journal.read_bytes() == PINNED_JOURNAL.read_bytes()
+
+    def test_a_fresh_run_journals_the_pinned_line(self, tmp_path):
+        journal = tmp_path / "fleet.jsonl"
+        sweep = fleet_oversubscription_sweep(
+            PINNED_SPEC, (4.0,), journal=journal, schedule=PINNED_SCHEDULE)
+        assert sweep.reports[0].digest() == PINNED_DIGEST
+        assert journal.read_bytes() == PINNED_JOURNAL.read_bytes()

@@ -1,11 +1,12 @@
 """Fleet traffic: shedding order, governance, SLO contracts, chaos."""
 
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.engine.statistics import dm_fleet_slo
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.faults.chaos import generate_schedule
 from repro.fleet.cluster import (
@@ -116,9 +117,15 @@ class TestBasicRun:
         assert len({row["backend"] for row in report.per_shard}) == 3
 
     def test_payload_round_trip_preserves_digest(self):
-        report = run_fleet(BASE)
-        clone = FleetReport.from_payload(report.to_payload())
+        report = run_fleet(replace(BASE, arrival=replace(
+            BASE.arrival, offered_tps=4000.0)))
+        assert report.first_refusal_by_priority
+        line = json.dumps(asdict(report), sort_keys=True)
+        clone = FleetReport.from_payload(json.loads(line))
         assert clone.digest() == report.digest()
+        assert clone.tenants == report.tenants
+        assert clone.first_refusal_by_priority == \
+            report.first_refusal_by_priority
 
 
 class TestGracefulDegradation:
@@ -255,16 +262,21 @@ class TestReplication:
 
 
 class TestFleetSloView:
-    def test_rows_sorted_most_protected_first(self):
-        report = run_fleet(BASE)
-        rows = dm_fleet_slo(report)
-        assert [r.priority for r in rows] == sorted(r.priority for r in rows)
-        assert {r.tenant for r in rows} == set(report.tenants)
+    def test_rows_sorted_most_protected_first(self, capsys):
+        code = main(["fleet", "--shards", "2", "--duration", "2.5",
+                     "--trace", "burst", "--offered-tps", "250",
+                     "--tenants", "4", "--capacity", "8", "--oversub", "1"])
+        assert code == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("tenant") and "prio" not in line]
+        assert [(r[0], r[1]) for r in rows] == [
+            ("tenant0", "0"), ("tenant3", "0"), ("tenant1", "1"),
+            ("tenant2", "2")]
 
-    def test_never_shed_tenant_reports_nan_first_shed(self):
+    def test_never_shed_tenant_has_no_first_shed(self):
         calm = FleetSpec(shards=2, duration=2.0,
                          arrival=ArrivalSpec(offered_tps=50.0),
                          tenants=default_tenants(2))
-        rows = dm_fleet_slo(run_fleet(calm))
-        assert all(math.isnan(r.first_shed_at) for r in rows)
-        assert all(r.slo_ok for r in rows)
+        tenants = run_fleet(calm).tenants.values()
+        assert all(t.shed == 0 and t.first_shed_at is None for t in tenants)
+        assert all(t.slo_ok for t in tenants)

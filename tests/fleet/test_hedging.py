@@ -8,27 +8,25 @@ import pytest
 from repro.engine.statistics import dm_hedge_outcomes
 from repro.errors import FaultInjectionError
 from repro.fleet.health import HeartbeatMonitor
-from repro.fleet.hedging import HedgedReader, RetryBudget
+from repro.fleet.hedging import MIN_HEDGE_DELAY, PAGE_BYTES, READ_BYTES, \
+    HedgedReader, RetryBudget
 from repro.hardware.storage import RANDOM_READ_LATENCY
-from repro.units import KIB
 
 from tests.fleet.conftest import build_fleet
 
-READ_BYTES = 256 * KIB
-PAGES = READ_BYTES / (8 * 1024)
+PAGES = READ_BYTES / PAGE_BYTES
 
 #: Per-read device time with the straggler brownout below (latency x20).
 STRAGGLER_FACTOR = 20.0
 STRAGGLER_LATENCY = PAGES * RANDOM_READ_LATENCY * STRAGGLER_FACTOR
 
 
-def reader_fleet(hedging=True, monitor=False, replicas=3, **reader_kwargs):
+def reader_fleet(hedging=True, monitor=False, replicas=3, budget=None):
     sim, group = build_fleet(replicas=replicas)
     mon = HeartbeatMonitor(group) if monitor else None
     if mon is not None:
         mon.install()
-    reader = HedgedReader(group, monitor=mon, enabled=hedging,
-                          read_bytes=READ_BYTES, **reader_kwargs)
+    reader = HedgedReader(group, monitor=mon, budget=budget, enabled=hedging)
     return sim, group, reader
 
 
@@ -160,19 +158,14 @@ class TestHedgedReads:
 
     def test_latency_distribution_feeds_the_hedge_delay(self):
         sim, group, reader = reader_fleet()
-        assert reader._hedge_delay() == reader.min_hedge_delay  # cold
+        assert reader._hedge_delay() == MIN_HEDGE_DELAY  # cold
         run_reads(sim, reader, 20)
         assert len(reader.latencies) == 20
-        assert reader._hedge_delay() >= reader.min_hedge_delay
+        assert reader._hedge_delay() >= MIN_HEDGE_DELAY
 
     def test_min_hedge_delay_covers_the_unloaded_read(self):
-        sim, group, reader = reader_fleet()
         unloaded = PAGES * RANDOM_READ_LATENCY
-        assert reader.min_hedge_delay >= unloaded
-
-    def test_explicit_min_hedge_delay_is_honored(self):
-        sim, group, reader = reader_fleet(min_hedge_delay=0.123)
-        assert reader._hedge_delay() == 0.123
+        assert MIN_HEDGE_DELAY >= unloaded
 
 
 class TestPlacement:
@@ -197,7 +190,7 @@ class TestPlacement:
     def test_all_suspected_degrades_to_any_reachable(self):
         sim, group = build_fleet()
         monitor = HeartbeatMonitor(group)  # never installed: no beats
-        reader = HedgedReader(group, monitor=monitor, read_bytes=READ_BYTES)
+        reader = HedgedReader(group, monitor=monitor)
         sim.run(until=1.0)  # clock advances; every replica looks silent
         assert all(monitor.suspected(r.index) for r in group.replicas)
         assert reader._pick() is not None

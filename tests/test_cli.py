@@ -238,3 +238,30 @@ def test_chaos_failover_scenario_passes_gates(capsys, tmp_path):
 def test_chaos_rejects_unknown_scenario():
     with pytest.raises(SystemExit):
         main(["chaos", "--scenario", "meteor"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--seeds", "1,x"],
+    ["chaos", "--seeds", ","],
+    ["chaos", "--seeds", "1,,2"],
+    ["fleet", "--oversub", ","],
+    ["fleet", "--oversub", "1,four"],
+    ["admission", "--oversub", ","],
+    ["whatif", "asdb", "2000", "--cores", ","],
+    ["whatif", "asdb", "2000", "--llc-mb", "12,"],
+    ["fleet", "--chaos", "meteor"],
+], ids=" ".join)
+def test_malformed_list_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_seed_list_runs_every_seed(capsys):
+    code = main(["chaos", "--seeds", "11, 12", "--scenario", "none",
+                 "--duration", "0.5"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "chaos-complete: seed=11 ok=True" in out
+    assert "chaos-complete: seed=12 ok=True" in out

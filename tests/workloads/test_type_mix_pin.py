@@ -25,7 +25,6 @@ from repro.fleet.cluster import (
 )
 from repro.fleet.hedging import HedgedReader, RetryBudget
 from repro.sim.process import Timeout
-from repro.units import KIB
 from repro.workloads.arrivals import ArrivalSpec, TenantTraffic
 
 from tests.fleet.conftest import build_fleet
@@ -180,9 +179,8 @@ def test_hedged_reader_tight_budget_digest():
     # A 3-token budget refilling at 7.3/s cannot cover a hedge on every
     # read against a browned-out primary, so some hedges are denied.
     sim, group = build_fleet(replicas=3)
-    reader = HedgedReader(group, read_bytes=256 * KIB,
-                          budget=RetryBudget(sim, capacity=3.0,
-                                             refill_per_s=7.3))
+    reader = HedgedReader(group, budget=RetryBudget(sim, capacity=3.0,
+                                                    refill_per_s=7.3))
     latencies = []
 
     def client(count):
