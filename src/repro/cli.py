@@ -3,41 +3,40 @@
 Usage::
 
     python -m repro run tpch 100 --cores 16 --llc-mb 12 --duration 300
-    python -m repro sweep cores tpch 10
     python -m repro sweep llc asdb 2000 --jobs 4 --cache-dir ~/.cache/repro
-    python -m repro sweep cores tpce 5000 --timeout 600 --on-error collect
-    python -m repro faults --cache-dir /tmp/faults-demo
+    python -m repro whatif asdb 2000 --cores 4,8 --llc-mb 8 --cache-dir DIR
     python -m repro admission --oversub 1,4,16 --grant-timeout 30
-    python -m repro run tpch 10 --backend columnstore-dss
     python -m repro chaos --seed 1 --scenario failover
     python -m repro chaos --seeds 1,2,3 --scenario hedging --compare-hedging
-    python -m repro backends
-    python -m repro figure table2
+    python -m repro fleet --trace flash-crowd --autoscale
     python -m repro figure fig7
-    python -m repro whatif asdb 2000 --cores 4,8 --llc-mb 8 --cache-dir DIR
-    python -m repro list
 
-``--jobs N`` fans independent experiments over N worker processes
-(results are identical to serial).  ``--cache-dir DIR`` enables the
-content-addressed result cache so re-runs are disk reads;
-``$REPRO_CACHE_DIR`` sets a default directory and ``--no-cache``
-overrides both.
+``chaos --seed`` and ``--seeds`` are two spellings of one option: a
+seed, or a comma list of seeds for a soak.
 
-The CLI is a thin veneer over :mod:`repro.core`; anything it prints can
-be produced programmatically from the same functions.
+Exit codes: 0 ok; 1 an invariant was violated or a run failed (with its
+traceback); 2 a usage or configuration error, reported in one stderr
+line ``repro <command>: error: <message>``.
+
+Every subcommand is one row of :data:`COMMANDS`; the CLI is a thin
+veneer over :mod:`repro.core`, and anything it prints can be produced
+programmatically from the same functions.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.experiment import run_experiment
+from repro.backends import BACKENDS, DEFAULT_BACKEND, backend_names
+from repro.core.experiment import Experiment, ExperimentConfig, run_experiment
+from repro.core.journal import SweepJournal
 from repro.core.knobs import CORE_SWEEP, LLC_SWEEP_MB, ResourceAllocation
 from repro.core.report import format_series, format_table
 from repro.core.resultcache import ResultCache, default_cache_dir
-from repro.core.runner import SupervisionPolicy, run_supervised
+from repro.core.runner import ON_ERROR_CHOICES, SupervisionPolicy, run_supervised
 from repro.core.sweeps import (
     STUDY_MATRIX,
     core_sweep,
@@ -46,8 +45,27 @@ from repro.core.sweeps import (
     on_backend,
     run_sweep,
 )
+from repro.errors import (
+    ConfigurationError,
+    FaultInjectionError,
+    SimulatedWorkerCrash,
+    TransientIOError,
+    WorkloadError,
+)
+from repro.engine.locks import WaitType
+from repro.faults import (
+    CrashPoint,
+    StorageBrownout,
+    TransientWriteErrors,
+    WorkerCrash,
+    WorkerStall,
+)
+from repro.faults.chaos import SCENARIOS, ChaosConfig, generate_schedule, run_chaos
+from repro.fleet.autoscale import AutoscalePolicy
+from repro.fleet.cluster import FleetSpec, default_tenants, fleet_oversubscription_sweep
 from repro.units import mb_per_s
 from repro.workloads import WORKLOADS
+from repro.workloads.arrivals import TRACE_KINDS, ArrivalSpec
 
 
 def _job_count(text: str) -> int:
@@ -70,76 +88,73 @@ def _listed(kind):
     return parse
 
 
-def _add_cache_options(parser: argparse.ArgumentParser) -> None:
-    """The result-cache knobs (also used alone by whatif)."""
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="directory for the content-addressed result cache "
-        "(default: $REPRO_CACHE_DIR if set, else caching is off)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache even if --cache-dir or "
-        "$REPRO_CACHE_DIR is set",
-    )
+def _arg(*flags, **kwargs) -> Tuple[tuple, dict]:
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
 
 
-def _add_runner_options(parser: argparse.ArgumentParser) -> None:
-    """The runner knobs shared by every multi-experiment command."""
-    parser.add_argument(
-        "--jobs", type=_job_count, default=1, metavar="N",
-        help="worker processes for independent experiments (default: 1, "
-        "in-process; results are identical at any job count)",
-    )
-    _add_cache_options(parser)
+#: Option groups that several commands share, by name.
+_GROUPS = {
+    "cache": (
+        _arg("--cache-dir", metavar="DIR", help="directory for the content-addressed "
+             "result cache (default: $REPRO_CACHE_DIR if set, else caching is off)"),
+        _arg("--no-cache", action="store_true", help="disable the result cache even "
+             "if --cache-dir or $REPRO_CACHE_DIR is set"),
+    ),
+    "runner": (
+        _arg("--jobs", type=_job_count, default=1, metavar="N",
+             help="worker processes for independent experiments; 1 runs in-process, "
+             "and results are identical at any count (default: %(default)s)"),
+    ),
+    "supervision": (
+        _arg("--timeout", type=float, default=SupervisionPolicy.timeout,
+             metavar="SECONDS", help="per-experiment wall-clock budget, unlimited if "
+             "unset; a timed-out attempt kills and rebuilds the worker pool "
+             "(default: %(default)s)"),
+        _arg("--retries", type=int, default=SupervisionPolicy.retries, metavar="N",
+             help="extra attempts after a crashed worker, with exponential backoff; "
+             "deterministic errors are never retried (default: %(default)s)"),
+        _arg("--on-error", choices=ON_ERROR_CHOICES, default=SupervisionPolicy.on_error,
+             help="when a grid point exhausts its attempts, abort the sweep (raise) "
+             "or keep going and report the holes (skip), as structured failure "
+             "records (collect) (default: %(default)s)"),
+    ),
+    "allocation": (
+        _arg("--maxdop", type=int),
+        _arg("--grant-percent", type=float, default=ResourceAllocation.grant_percent),
+        _arg("--duration", type=float,
+             help="simulated seconds (default: per-workload)"),
+        _arg("--seed", type=int, default=0),
+    ),
+}
+
+_TARGET = (_arg("workload", choices=sorted(WORKLOADS)), _arg("scale_factor", type=int))
+_BACKEND = _arg("--backend", choices=backend_names(), default=DEFAULT_BACKEND,
+                help="engine personality to run on (default: %(default)s)")
 
 
-def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
-    """Supervisor knobs for commands that run many experiments."""
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-experiment wall-clock budget; a timed-out attempt kills "
-        "and rebuilds the worker pool (default: unlimited)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="extra attempts after a crashed worker, with exponential "
-        "backoff (default: 2; deterministic errors are never retried)",
-    )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip", "collect"), default="raise",
-        help="what to do when a grid point exhausts its attempts: abort "
-        "the sweep (raise), or keep going and report the holes "
-        "(skip/collect; collect returns structured failure records)",
-    )
-
-
-def _add_backend_options(parser: argparse.ArgumentParser) -> None:
-    """The engine-personality knob shared by run/sweep."""
-    from repro.backends import DEFAULT_BACKEND, backend_names
-
-    parser.add_argument(
-        "--backend", choices=backend_names(), default=DEFAULT_BACKEND,
-        help="engine personality to run on (default: %(default)s)",
-    )
-
-
-def _resolve_policy(args):
-    return SupervisionPolicy(
-        timeout=getattr(args, "timeout", None),
-        retries=getattr(args, "retries", 2),
-        on_error=getattr(args, "on_error", "raise"),
-    )
+def _resolve_policy(args) -> SupervisionPolicy:
+    return SupervisionPolicy(timeout=args.timeout, retries=args.retries,
+                             on_error=args.on_error)
 
 
 def _resolve_cache(args) -> Optional[ResultCache]:
     """Build the result cache implied by --cache-dir/--no-cache/env."""
-    if getattr(args, "no_cache", False):
-        return None
-    directory = getattr(args, "cache_dir", None) or default_cache_dir()
-    if directory is None:
-        return None
-    return ResultCache(directory)
+    directory = None if args.no_cache else args.cache_dir or default_cache_dir()
+    return None if directory is None else ResultCache(directory)
+
+
+def _config(args, backend: str = DEFAULT_BACKEND, **allocation) -> ExperimentConfig:
+    """The experiment the allocation group's flags describe, with the
+    command's own :class:`ResourceAllocation` fields on top."""
+    duration = (duration_for(args.workload, args.scale_factor)
+                if args.duration is None else args.duration)
+    return ExperimentConfig(
+        workload=args.workload, scale_factor=args.scale_factor,
+        allocation=ResourceAllocation(max_dop=args.maxdop,
+                                      grant_percent=args.grant_percent, **allocation),
+        duration=duration, seed=args.seed, backend=backend,
+    )
 
 
 def _print_cache_stats(cache: Optional[ResultCache]) -> None:
@@ -149,295 +164,43 @@ def _print_cache_stats(cache: Optional[ResultCache]) -> None:
               f"({cache.directory})")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Resource-sensitivity experiments on the simulated testbed",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("workload", choices=sorted(WORKLOADS))
-    run.add_argument("scale_factor", type=int)
-    run.add_argument("--cores", type=int, default=32)
-    run.add_argument("--llc-mb", type=int, default=40)
-    run.add_argument("--maxdop", type=int, default=None)
-    run.add_argument("--read-limit-mb", type=float, default=None)
-    run.add_argument("--write-limit-mb", type=float, default=None)
-    run.add_argument("--grant-percent", type=float, default=25.0)
-    run.add_argument("--duration", type=float, default=None,
-                     help="simulated seconds (default: per-workload)")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--grant-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="RESOURCE_SEMAPHORE grant-queue timeout; enables "
-                     "overload protection (default: off)")
-    run.add_argument("--small-query-bypass-mb", type=float, default=0.0,
-                     metavar="MB",
-                     help="grants at or below this size skip the grant "
-                     "queue (default: 0, bypass off)")
-    run.add_argument("--max-queue-depth", type=int, default=None, metavar="N",
-                     help="throttle admission once N requests are queued "
-                     "for grants (default: unbounded)")
-    run.add_argument("--on-grant-timeout", choices=("degrade", "fail"),
-                     default="degrade",
-                     help="timed-out/throttled grants shrink to free memory "
-                     "and spill (degrade) or raise (fail)")
-    _add_backend_options(run)
-
-    sweep = sub.add_parser("sweep", help="run a one-axis sweep")
-    sweep.add_argument("axis", choices=("cores", "llc"))
-    sweep.add_argument("workload", choices=sorted(WORKLOADS))
-    sweep.add_argument("scale_factor", type=int)
-    sweep.add_argument("--duration-scale", type=float, default=0.5)
-    _add_backend_options(sweep)
-    _add_runner_options(sweep)
-    _add_supervision_options(sweep)
-
-    faults = sub.add_parser(
-        "faults",
-        help="demonstrate fault injection and supervised recovery",
-        description="Runs a small ASDB grid where every point carries a "
-        "different injected fault (storage brownout, transient write "
-        "errors, crash/recover, worker crash, worker stall) under the "
-        "supervised runner.  With --cache-dir, a second invocation "
-        "resumes from the journal and re-runs only the failed points.",
-    )
-    faults.add_argument("--duration", type=float, default=1.0,
-                        help="simulated seconds per grid point (default: 1)")
-    faults.add_argument("--stall-seconds", type=float, default=120.0,
-                        help="wall-clock sleep of the stalled worker "
-                        "(default: 120; must exceed --timeout)")
-    _add_runner_options(faults)
-    _add_supervision_options(faults)
-    faults.set_defaults(jobs=2, timeout=60.0, on_error="collect")
-
-    admission = sub.add_parser(
-        "admission",
-        help="sweep §10 admission policies under stream oversubscription",
-        description="Runs the overload-protection demo: three admission "
-        "policies (immediate, serialized, queued-with-timeout) across "
-        "stream oversubscription levels, reporting per-stream throughput "
-        "and the RESOURCE_SEMAPHORE counters, and checking the "
-        "monotone-degradation invariant (per-stream throughput never "
-        "increases with oversubscription).",
-    )
-    admission.add_argument("--scale-factor", type=int, default=100)
-    admission.add_argument(
-        "--oversub", type=_listed(int), default="1,4,16", metavar="L1,L2,...",
-        help="comma-separated oversubscription levels relative to the "
-        "pool's natural concurrency (default: 1,4,16)",
-    )
-    admission.add_argument(
-        "--admission-policy",
-        choices=("immediate", "serialized", "queued", "all"), default="all",
-        help="which policy to sweep (default: all three)",
-    )
-    admission.add_argument("--base-streams", type=int, default=4,
-                           help="streams at 1x oversubscription (default: 4, "
-                           "the default pool's concurrent-grant capacity)")
-    admission.add_argument("--grant-timeout", type=float, default=30.0,
-                           metavar="SECONDS",
-                           help="grant-queue timeout for the queued policy "
-                           "(default: 30)")
-    admission.add_argument("--duration-scale", type=float, default=0.4)
-    admission.add_argument("--seed", type=int, default=0)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a seeded chaos schedule against a replicated fleet",
-        description="Builds a replicated shard group (N engine replicas on "
-        "one simulated clock with heartbeat failure detection and hedged "
-        "reads), composes a reproducible fault schedule from the seed, "
-        "drives writer/reader clients through it, and audits the four "
-        "resilience invariants: no acknowledged durable write lost, "
-        "unavailability bounded by the detection+promotion budget, hedged "
-        "p99 no worse than unhedged under the same schedule (with "
-        "--compare-hedging), and bit-identical replay digests (checked "
-        "automatically when the schedule is empty, or with "
-        "--check-determinism).  Exits 1 if any invariant is violated.",
-    )
-    from repro.faults.chaos import SCENARIOS
-
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="schedule seed (default: 0)")
-    chaos.add_argument("--seeds", type=_listed(int), default=None,
-                       metavar="S1,S2,...",
-                       help="comma-separated seeds for a soak; overrides "
-                       "--seed")
-    chaos.add_argument("--duration", type=float, default=3.0,
-                       help="simulated seconds per run (default: 3)")
-    chaos.add_argument("--scenario", "--faults", dest="scenario",
-                       choices=sorted(SCENARIOS), default="mixed",
-                       help="fault mix to schedule (default: mixed; 'none' "
-                       "runs fault-free and checks determinism)")
-    chaos.add_argument("--episodes", type=int, default=3,
-                       help="fault episodes per run (default: 3)")
-    chaos.add_argument("--replicas", type=int, default=3,
-                       help="replica-group size (default: 3)")
-    chaos.add_argument("--no-hedging", action="store_true",
-                       help="disable hedged reads in the primary run")
-    chaos.add_argument("--compare-hedging", action="store_true",
-                       help="re-run the identical schedule with hedging off "
-                       "and gate on the p99 comparison")
-    chaos.add_argument("--check-determinism", action="store_true",
-                       help="replay the run and require a bit-identical "
-                       "report digest (always on for empty schedules)")
-    chaos.add_argument("--journal", default=None, metavar="PATH",
-                       help="append schedule/episode/failover/report events "
-                       "to this JSONL journal")
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="drive open-loop traffic through a sharded multi-tenant fleet",
-        description="Builds a sharded cluster of engine personalities on "
-        "one simulated clock, feeds it an open-loop arrival trace "
-        "(diurnal / MMPP burst / flash-crowd) attributed to weighted, "
-        "prioritized tenants, and sweeps oversubscription while checking "
-        "the graceful-degradation contract: every most-protected tenant's "
-        "p99 stays inside its SLO at every load level, per-tenant goodput "
-        "degrades monotonically, and sheds land on low-priority traffic "
-        "first.  Optionally autoscales (queue/grant-wait/shed signals, "
-        "serverless cold-start cost) and composes with seeded chaos "
-        "schedules.  Exits 1 if any contract is violated.",
-    )
-    from repro.workloads.arrivals import TRACE_KINDS
-
-    fleet.add_argument("--shards", type=int, default=2,
-                       help="initial shard count (default: 2)")
-    fleet.add_argument("--tenants", type=int, default=4,
-                       help="tenant count; priorities cycle 0/1/2 "
-                       "(default: 4)")
-    fleet.add_argument("--trace", choices=TRACE_KINDS, default="diurnal",
-                       help="arrival trace shape (default: diurnal)")
-    fleet.add_argument("--offered-tps", type=float, default=300.0,
-                       help="base offered rate before oversubscription "
-                       "(default: 300)")
-    fleet.add_argument("--oversub", type=_listed(float), default="1,4,16",
-                       metavar="F1,F2,...",
-                       help="oversubscription multipliers (default: 1,4,16)")
-    fleet.add_argument("--duration", type=float, default=6.0,
-                       help="simulated seconds per point (default: 6)")
-    fleet.add_argument("--capacity", type=int, default=32,
-                       help="concurrent transactions per shard (default: 32)")
-    fleet.add_argument("--slo-ms", type=float, default=250.0,
-                       help="per-tenant p99 SLO in ms (default: 250)")
-    fleet.add_argument("--replication", type=int, default=1,
-                       help="replicas per shard (default: 1)")
-    fleet.add_argument("--autoscale", action="store_true",
-                       help="enable the deterministic autoscaler")
-    fleet.add_argument("--max-shards", type=int, default=16,
-                       help="autoscaler ceiling (default: 16)")
-    fleet.add_argument("--chaos", choices=sorted(SCENARIOS), default=None,
-                       help="compose a seeded chaos schedule of this "
-                       "scenario into every point")
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument("--jobs", type=_job_count, default=1,
-                       help="sweep points simulated in parallel")
-    fleet.add_argument("--journal", default=None, metavar="PATH",
-                       help="append fleet-traffic events (spec digest + "
-                       "full report) for resume")
-
-    sub.add_parser(
-        "backends", help="list engine personalities"
-    )
-
-    whatif = sub.add_parser(
-        "whatif",
-        help="answer sizing queries from the result cache or simulation",
-        description="Answers 'what would throughput be at these knobs?' "
-        "for the cross product of the --cores and --llc-mb comma lists: "
-        "a cache hit where the exact config was measured, a simulation "
-        "(stored in the cache) otherwise.",
-    )
-    whatif.add_argument("workload", choices=sorted(WORKLOADS))
-    whatif.add_argument("scale_factor", type=int)
-    whatif.add_argument("--cores", type=_listed(int), default="32",
-                        metavar="C1,C2,...")
-    whatif.add_argument("--llc-mb", type=_listed(int), default="40",
-                        metavar="M1,M2,...")
-    whatif.add_argument("--maxdop", type=int, default=None)
-    whatif.add_argument("--grant-percent", type=float, default=25.0)
-    whatif.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds (default: per-workload)")
-    whatif.add_argument("--seed", type=int, default=0)
-    _add_cache_options(whatif)
-
-    figure = sub.add_parser("figure", help="regenerate a paper artifact")
-    figure.add_argument(
-        "name",
-        choices=("table2", "table3", "fig5", "fig7"),
-    )
-    figure.add_argument("--duration-scale", type=float, default=0.3)
-    _add_runner_options(figure)
-
-    report = sub.add_parser(
-        "report", help="run a reduced study and print a calibration report"
-    )
-    report.add_argument("--duration-scale", type=float, default=0.3)
-
-    sub.add_parser("list", help="list workloads and scale factors")
-    return parser
-
-
 def _cmd_run(args) -> int:
-    allocation = ResourceAllocation(
-        logical_cores=args.cores,
-        llc_mb=args.llc_mb,
-        max_dop=args.maxdop,
-        read_bw_limit=mb_per_s(args.read_limit_mb) if args.read_limit_mb else None,
-        write_bw_limit=mb_per_s(args.write_limit_mb) if args.write_limit_mb else None,
-        grant_percent=args.grant_percent,
+    def cap(mb):
+        return None if mb is None else mb_per_s(mb)
+
+    config = _config(
+        args, backend=args.backend, logical_cores=args.cores, llc_mb=args.llc_mb,
+        read_bw_limit=cap(args.read_limit_mb), write_bw_limit=cap(args.write_limit_mb),
         grant_timeout_s=args.grant_timeout,
         small_query_bypass_bytes=args.small_query_bypass_mb * 1024.0 * 1024.0,
-        max_queue_depth=args.max_queue_depth,
-        on_grant_timeout=args.on_grant_timeout,
+        max_queue_depth=args.max_queue_depth, on_grant_timeout=args.on_grant_timeout,
     )
-    duration = args.duration or duration_for(args.workload, args.scale_factor)
-    m = run_experiment(args.workload, args.scale_factor, allocation=allocation,
-                       duration=duration, seed=args.seed, backend=args.backend)
-    rows = [
-        ("primary metric", m.primary_metric),
-        ("MPKI", m.mpki),
-        ("SSD read MB/s", m.ssd_read_mb),
-        ("SSD write MB/s", m.ssd_write_mb),
-        ("DRAM read MB/s", m.dram_read_mb),
-        ("SMT multiplier", m.smt_multiplier),
-    ]
+    m = Experiment(config).run()
+    rows = [("primary metric", m.primary_metric), ("MPKI", m.mpki),
+            ("SSD read MB/s", m.ssd_read_mb), ("SSD write MB/s", m.ssd_write_mb),
+            ("DRAM read MB/s", m.dram_read_mb), ("SMT multiplier", m.smt_multiplier)]
     if m.secondary_metric is not None:
         rows.insert(1, ("analytics QPH", m.secondary_metric))
-    protection_on = (args.grant_timeout is not None
-                     or args.small_query_bypass_mb > 0
-                     or args.max_queue_depth is not None)
-    if protection_on:
-        rows += [
-            ("grant waits", m.grant_waits),
-            ("grant wait s", m.grant_wait_seconds),
-            ("grant timeouts", m.grant_timeouts),
-            ("grant degrades", m.grant_degrades),
-            ("grant bypasses", m.grant_bypasses),
-            ("grant queue peak", m.grant_queue_peak),
-        ]
+    if (args.grant_timeout is not None or args.small_query_bypass_mb > 0
+            or args.max_queue_depth is not None):
+        rows += [("grant waits", m.grant_waits), ("grant wait s", m.grant_wait_seconds),
+                 ("grant timeouts", m.grant_timeouts),
+                 ("grant degrades", m.grant_degrades),
+                 ("grant bypasses", m.grant_bypasses),
+                 ("grant queue peak", m.grant_queue_peak)]
     print(format_table(
         ["metric", "value"], rows,
         title=f"{args.workload} SF={args.scale_factor} on {m.backend} "
-        f"({duration:.0f}s simulated)",
+        f"({config.duration:.0f}s simulated)",
     ))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    if args.axis == "cores":
-        configs = core_sweep(args.workload, args.scale_factor,
-                             duration_scale=args.duration_scale)
-        xs = list(CORE_SWEEP)
-        x_label = "cores"
-    else:
-        configs = llc_sweep(args.workload, args.scale_factor,
-                            duration_scale=args.duration_scale)
-        xs = list(LLC_SWEEP_MB)
-        x_label = "llc_mb"
-    configs = on_backend(configs, args.backend)
+    sweep, xs, x_label = ((core_sweep, CORE_SWEEP, "cores") if args.axis == "cores"
+                          else (llc_sweep, LLC_SWEEP_MB, "llc_mb"))
+    configs = on_backend(sweep(args.workload, args.scale_factor,
+                               duration_scale=args.duration_scale), args.backend)
     cache = _resolve_cache(args)
     # Under on_error="raise" the supervisor raises instead of leaving a
     # hole, so only skip/collect can reach the hole report below.
@@ -450,42 +213,21 @@ def _cmd_sweep(args) -> int:
             print(f"failure: {failure.describe()}")
         print(f"sweep: {report.summary()}")
     _print_cache_stats(cache)
-    print(format_series(
-        x_label, xs,
-        {
-            "perf": [m.primary_metric for m in measurements],
-            "mpki": [m.mpki_model for m in measurements],
-            "ssd_rd_MB/s": [m.ssd_read_mb for m in measurements],
-            "p99_ms": [m.p99_latency_ms for m in measurements],
-            "p999_ms": [m.p999_latency_ms for m in measurements],
-        },
-        title=f"{args.workload} SF={args.scale_factor}: {args.axis} sweep",
-    ))
+    print(format_series(x_label, xs, {
+        "perf": [m.primary_metric for m in measurements],
+        "mpki": [m.mpki_model for m in measurements],
+        "ssd_rd_MB/s": [m.ssd_read_mb for m in measurements],
+        "p99_ms": [m.p99_latency_ms for m in measurements],
+        "p999_ms": [m.p999_latency_ms for m in measurements],
+    }, title=f"{args.workload} SF={args.scale_factor}: {args.axis} sweep"))
     return 0
 
 
 def _cmd_whatif(args) -> int:
-    """Sizing answers (greppable: ``whatif:`` per point and a
-    ``whatif-complete:`` cache/simulated tally)."""
-    from repro.core.experiment import ExperimentConfig
-    from repro.errors import ConfigurationError
-
-    duration = args.duration or duration_for(args.workload, args.scale_factor)
-    try:
-        configs = [
-            ExperimentConfig(
-                workload=args.workload, scale_factor=args.scale_factor,
-                allocation=ResourceAllocation(
-                    logical_cores=cores, llc_mb=llc, max_dop=args.maxdop,
-                    grant_percent=args.grant_percent,
-                ),
-                duration=duration, seed=args.seed,
-            )
-            for cores in args.cores for llc in args.llc_mb
-        ]
-    except ConfigurationError as exc:
-        print(f"whatif: {exc}", file=sys.stderr)
-        return 1
+    # Greppable: a ``whatif:`` line per point and a ``whatif-complete:``
+    # cache/simulated tally.
+    configs = [_config(args, logical_cores=cores, llc_mb=llc)
+               for cores in args.cores for llc in args.llc_mb]
     cache = _resolve_cache(args)
     measurements = run_sweep(configs, cache=cache)
     for m in measurements:
@@ -495,26 +237,13 @@ def _cmd_whatif(args) -> int:
               f"grant={alloc.grant_percent:g}%: {m.primary_metric:.3f} "
               f"(mpki {m.mpki_model:.2f})")
     hits = cache.hits if cache is not None else 0
-    print(f"whatif-complete: {hits} cache, "
-          f"{len(measurements) - hits} simulated")
+    print(f"whatif-complete: {hits} cache, {len(measurements) - hits} simulated")
     return 0
 
 
 def _cmd_faults(args) -> int:
-    """Fault-injection demo: one grid, five failure modes, one report.
-
-    Output is line-oriented and greppable on purpose — the CI fault
-    matrix asserts on ``sweep-complete:`` and ``resumed:`` markers.
-    """
-    from repro.core.experiment import ExperimentConfig
-    from repro.faults import (
-        CrashPoint,
-        StorageBrownout,
-        TransientWriteErrors,
-        WorkerCrash,
-        WorkerStall,
-    )
-
+    # Greppable on purpose: the CI fault matrix asserts on the
+    # ``sweep-complete:`` and ``resumed:`` markers.
     d = args.duration
     # At the default jobs=2 the worker crash breaks the pool in the very
     # first pair, exercising quarantine + rebuild up front; the stall runs
@@ -534,9 +263,8 @@ def _cmd_faults(args) -> int:
         for seed, (_, faults) in enumerate(grid)
     ]
     cache = _resolve_cache(args)
-    policy = _resolve_policy(args)
-    report = run_supervised(configs, jobs=args.jobs, cache=cache, policy=policy)
-    resumed = cache is not None and report.cache_hits > 0
+    report = run_supervised(configs, jobs=args.jobs, cache=cache,
+                            policy=_resolve_policy(args))
     print(f"supervision: {report.summary()}")
     for failure in report.failures:
         print(f"failure: {failure.describe()}")
@@ -552,30 +280,23 @@ def _cmd_faults(args) -> int:
                      f" io_faults={summary['write_faults_injected']:.0f}")
         print(line)
     _print_cache_stats(cache)
-    if resumed:
+    if cache is not None and report.cache_hits > 0:
         print(f"resumed: {report.cache_hits} points served from cache")
     print(f"sweep-complete: {len(report.successes())}/{len(configs)}")
     return 0
 
 
 def _cmd_admission(args) -> int:
-    """Overload-protection demo: §10 policies under oversubscription.
-
-    Output is line-oriented and greppable on purpose — the CI overload
-    matrix asserts on ``admission-complete:`` and
-    ``monotone-degradation:`` markers.
-    """
+    # Greppable on purpose: the CI overload matrix asserts on the
+    # ``admission-complete:`` and ``monotone-degradation:`` markers.
     from repro.core.admission import ADMISSION_POLICIES, sweep_admission_policies
 
     policies = (ADMISSION_POLICIES if args.admission_policy == "all"
                 else (args.admission_policy,))
     sweep = sweep_admission_policies(
-        scale_factor=args.scale_factor,
-        oversubscription=args.oversub,
-        policies=policies,
-        base_streams=args.base_streams,
-        duration_scale=args.duration_scale,
-        seed=args.seed,
+        scale_factor=args.scale_factor, oversubscription=args.oversub,
+        policies=policies, base_streams=args.base_streams,
+        duration_scale=args.duration_scale, seed=args.seed,
         grant_timeout_s=args.grant_timeout,
     )
     print(format_table(
@@ -601,8 +322,6 @@ def _cmd_admission(args) -> int:
 
 
 def _cmd_backends(_args) -> int:
-    from repro.backends import BACKENDS, backend_names
-
     rows = [(name, BACKENDS[name].description) for name in backend_names()]
     print(format_table(["backend", "description"], rows,
                        title="Engine personalities"))
@@ -646,35 +365,23 @@ def _cmd_figure(args) -> int:
 
 def _cmd_report(args) -> int:
     """A one-command paper-vs-measured summary (the headline numbers)."""
-    scale = args.duration_scale
+
+    def measure(workload, sf, cores=ResourceAllocation.logical_cores):
+        return run_experiment(
+            workload, sf, allocation=ResourceAllocation(logical_cores=cores),
+            duration=duration_for(workload, sf, args.duration_scale))
+
     rows = []
-
-    def ratio(workload, sf, duration):
-        hi = run_experiment(workload, sf,
-                            allocation=ResourceAllocation(logical_cores=16),
-                            duration=duration)
-        full = run_experiment(workload, sf, duration=duration)
-        return hi.primary_metric / full.primary_metric, full
-
     for sf, paper in ((10, 1.72), (30, 1.27), (100, 0.93), (300, 0.82)):
-        measured, _ = ratio("tpch", sf, duration_for("tpch", sf, scale))
-        rows.append((f"TPC-H SF={sf} perf16/perf32", f"{measured:.2f}", paper))
-
-    asdb16 = run_experiment("asdb", 2000,
-                            allocation=ResourceAllocation(logical_cores=16),
-                            duration=duration_for("asdb", 2000, scale))
-    asdb32 = run_experiment("asdb", 2000,
-                            duration=duration_for("asdb", 2000, scale))
-    rows.append(("ASDB HT gain",
-                 f"{(asdb32.primary_metric / asdb16.primary_metric - 1):.1%}",
-                 "5-6.8%"))
-
-    tpce = {sf: run_experiment("tpce", sf,
-                               duration=duration_for("tpce", sf, scale))
-            for sf in (5000, 15000)}
+        ratio = (measure("tpch", sf, 16).primary_metric
+                 / measure("tpch", sf).primary_metric)
+        rows.append((f"TPC-H SF={sf} perf16/perf32", f"{ratio:.2f}", paper))
+    asdb16, asdb32 = measure("asdb", 2000, 16), measure("asdb", 2000)
+    gain = asdb32.primary_metric / asdb16.primary_metric - 1
+    rows.append(("ASDB HT gain", f"{gain:.1%}", "5-6.8%"))
+    tpce = {sf: measure("tpce", sf) for sf in (5000, 15000)}
     rows.append(("TPC-E TPS(15000) > TPS(5000)",
                  tpce[15000].primary_metric > tpce[5000].primary_metric, True))
-    from repro.engine.locks import WaitType
     lock_ratio = (tpce[15000].wait_times[WaitType.LOCK]
                   / max(1e-9, tpce[5000].wait_times[WaitType.LOCK]))
     rows.append(("Table 3 LOCK ratio", f"{lock_ratio:.2f}", 0.15))
@@ -697,165 +404,282 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.core.journal import SweepJournal
-    from repro.faults.chaos import ChaosConfig, run_chaos
-
-    seeds = args.seeds or (args.seed,)
     journal = SweepJournal(args.journal) if args.journal else None
     violations = 0
-    for seed in seeds:
-        config = ChaosConfig(
-            seed=seed,
-            duration=args.duration,
-            replicas=args.replicas,
-            scenario=args.scenario,
-            episodes=args.episodes,
-            hedging=not args.no_hedging,
-        )
-        report = run_chaos(
-            config,
-            journal=journal,
-            compare_hedging=args.compare_hedging,
-            check_determinism=True if args.check_determinism else None,
-        )
-        print(f"chaos-schedule: seed={seed} scenario={args.scenario} "
-              f"episodes={len(report.schedule)}")
-        for episode in report.schedule:
-            print(f"  t={episode.at:7.3f}s {episode.kind:<9} "
-                  f"replica={episode.replica} duration={episode.duration:.3f}s")
-        fleet = report.fleet
-        print(f"  writes acked={int(fleet.get('writes_acked', 0))} "
-              f"failovers={int(fleet.get('failovers', 0))} "
-              f"epoch={int(fleet.get('epoch', 0))} "
-              f"unavailable={fleet.get('unavailable_seconds', 0.0):.3f}s")
-        hedging = report.hedging
-        print(f"  reads={int(hedging.get('reads', 0))} "
-              f"hedges={int(hedging.get('hedges', 0))} "
-              f"hedge_wins={int(hedging.get('hedge_wins', 0))}")
-        if report.failover_windows:
-            worst = max(report.failover_windows)
-            print(f"  failover windows: worst={worst:.3f}s "
-                  f"bound={report.availability_bound:.3f}s")
-        if report.read_p99 is not None:
-            line = f"  read p99: {report.read_p99 * 1000.0:.2f}ms"
-            if report.unhedged_read_p99 is not None:
-                line += f" (unhedged {report.unhedged_read_p99 * 1000.0:.2f}ms)"
-            print(line)
-        for line in report.summary_lines():
-            print(line)
-        print(f"chaos-complete: seed={seed} ok={report.ok} "
-              f"digest={report.digest[:16]}")
+    for seed in args.seeds:
+        config = ChaosConfig(seed=seed, duration=args.duration, replicas=args.replicas,
+                             scenario=args.scenario, episodes=args.episodes,
+                             hedging=not args.no_hedging)
+        report = run_chaos(config, journal=journal,
+                           compare_hedging=args.compare_hedging,
+                           check_determinism=True if args.check_determinism else None)
+        print("\n".join(report.summary_lines()))
         if not report.ok:
             violations += 1
             print(f"chaos-violation: seed={seed} "
-                  f"invariants={','.join(report.violations())}",
-                  file=sys.stderr)
+                  f"invariants={','.join(report.violations())}", file=sys.stderr)
     return 1 if violations else 0
 
 
 def _cmd_fleet(args) -> int:
-    """Fleet-traffic sweep with the graceful-degradation contract.
-
-    Output is line-oriented and greppable on purpose — the CI SLO
-    matrix asserts on ``fleet-complete:``, ``slo-invariant:``,
-    ``monotone-degradation:``, and ``shed-fairness:`` markers.
-    """
-    from repro.fleet.autoscale import AutoscalePolicy
-    from repro.fleet.cluster import (
-        FleetSpec,
-        default_tenants,
-        fleet_oversubscription_sweep,
-    )
-    from repro.workloads.arrivals import ArrivalSpec
-
-    autoscale = None
-    if args.autoscale:
-        autoscale = AutoscalePolicy(min_shards=args.shards,
-                                    max_shards=args.max_shards,
-                                    cooldown_s=2.0)
+    # Greppable on purpose: the CI SLO matrix asserts on the
+    # ``fleet-complete:``, ``slo-invariant:``, ``monotone-degradation:``
+    # and ``shed-fairness:`` markers.
+    autoscale = (AutoscalePolicy(min_shards=args.shards, max_shards=args.max_shards,
+                                 cooldown_s=2.0) if args.autoscale else None)
     spec = FleetSpec(
-        shards=args.shards,
-        duration=args.duration,
-        seed=args.seed,
+        shards=args.shards, duration=args.duration, seed=args.seed,
         arrival=ArrivalSpec(offered_tps=args.offered_tps, trace=args.trace),
         tenants=default_tenants(args.tenants, slo_p99_ms=args.slo_ms),
-        capacity_per_shard=args.capacity,
-        replication=args.replication,
+        capacity_per_shard=args.capacity, replication=args.replication,
         autoscale=autoscale,
     )
     schedule = ()
-    if args.chaos:
-        from repro.faults.chaos import SCENARIOS, generate_schedule
-
-        kinds = SCENARIOS[args.chaos]
-        if kinds:
-            schedule = generate_schedule(
-                seed=args.seed, duration=args.duration, kinds=kinds,
-                replicas=args.shards, episodes=3,
-            )
-    sweep = fleet_oversubscription_sweep(
-        spec, oversubscription=args.oversub, jobs=args.jobs,
-        journal=args.journal, schedule=schedule,
-    )
+    if args.chaos and SCENARIOS[args.chaos]:
+        schedule = generate_schedule(seed=args.seed, duration=args.duration,
+                                     kinds=SCENARIOS[args.chaos],
+                                     replicas=args.shards, episodes=3)
+    sweep = fleet_oversubscription_sweep(spec, oversubscription=args.oversub,
+                                         jobs=args.jobs, journal=args.journal,
+                                         schedule=schedule)
     for oversub, report in zip(sweep.oversubscription, sweep.reports):
-        rows = [
-            (t.name, t.priority, t.arrivals, t.shed, t.governed,
-             f"{t.goodput_tps:.1f}", f"{t.p50_ms:.1f}",
-             f"{t.p99_ms:.1f}", f"{t.p999_ms:.1f}",
-             "ok" if t.slo_ok else "VIOLATED")
-            for t in sorted(report.tenants.values(),
-                            key=lambda t: (t.priority, t.name))
-        ]
+        tenants = sorted(report.tenants.values(), key=lambda t: (t.priority, t.name))
         print(format_table(
             ["tenant", "prio", "arrivals", "shed", "governed", "tps",
              "p50ms", "p99ms", "p999ms", "slo"],
-            rows,
+            [(t.name, t.priority, t.arrivals, t.shed, t.governed,
+              f"{t.goodput_tps:.1f}", f"{t.p50_ms:.1f}", f"{t.p99_ms:.1f}",
+              f"{t.p999_ms:.1f}", "ok" if t.slo_ok else "VIOLATED") for t in tenants],
             title=f"{oversub:g}x oversubscription: "
             f"{report.offered_tps:.0f} tps offered over {report.trace}, "
             f"{report.shards_initial}->{report.shards_peak} shards",
         ))
         scaling = report.scaling
         if scaling.get("decisions"):
-            print(f"  autoscaler: {scaling['scale_outs']} out / "
-                  f"{scaling['scale_ins']} in, reaction "
-                  f"{report.reaction_seconds:.3f}s"
-                  if report.reaction_seconds is not None else
-                  f"  autoscaler: {scaling['scale_outs']} out / "
-                  f"{scaling['scale_ins']} in")
+            line = (f"  autoscaler: {scaling['scale_outs']} out / "
+                    f"{scaling['scale_ins']} in")
+            if report.reaction_seconds is not None:
+                line += f", reaction {report.reaction_seconds:.3f}s"
+            print(line)
         for episode in report.episodes:
             print(f"  chaos t={episode['at']:7.3f}s {episode['kind']:<9} "
                   f"shard={episode['shard']}")
     if sweep.resumed:
         print(f"  resumed {sweep.resumed} point(s) from journal")
-    slo_ok = sweep.slo_invariant()
-    monotone = sweep.monotone_degradation()
-    fairness = sweep.shed_fairness()
+    verdicts = {"slo-invariant": sweep.slo_invariant(),
+                "monotone-degradation": sweep.monotone_degradation(),
+                "shed-fairness": sweep.shed_fairness()}
     for line in sweep.slo_violations():
         print(f"slo-violation: {line}", file=sys.stderr)
     print(f"fleet-complete: {len(sweep.reports)} points seed={args.seed} "
           f"trace={args.trace}")
-    print(f"slo-invariant: {'ok' if slo_ok else 'VIOLATED'}")
-    print(f"monotone-degradation: {'ok' if monotone else 'VIOLATED'}")
-    print(f"shed-fairness: {'ok' if fairness else 'VIOLATED'}")
-    return 0 if (slo_ok and monotone and fairness) else 1
+    for name, ok in verdicts.items():
+        print(f"{name}: {'ok' if ok else 'VIOLATED'}")
+    return 0 if all(verdicts.values()) else 1
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of the subcommand table: :func:`main` builds both the
+    parser and the dispatch from these."""
+
+    name: str
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    description: Optional[str] = None
+    arguments: Tuple[Tuple[tuple, dict], ...] = ()
+    #: names of the shared option groups in :data:`_GROUPS`
+    groups: Tuple[str, ...] = ()
+    #: parser defaults that replace the groups' own
+    defaults: Dict[str, object] = field(default_factory=dict)
+
+
+COMMANDS = (
+    Command("run", _cmd_run, "run one experiment", groups=("allocation",), arguments=(
+        *_TARGET,
+        _arg("--cores", type=int, default=ResourceAllocation.logical_cores),
+        _arg("--llc-mb", type=int, default=ResourceAllocation.llc_mb),
+        _arg("--read-limit-mb", type=float),
+        _arg("--write-limit-mb", type=float),
+        _arg("--grant-timeout", type=float, metavar="SECONDS",
+             help="RESOURCE_SEMAPHORE grant-queue timeout; enables overload "
+             "protection (default: off)"),
+        _arg("--small-query-bypass-mb", type=float, default=0.0, metavar="MB",
+             help="grants at or below this size skip the grant queue; 0 turns "
+             "the bypass off (default: %(default)s)"),
+        _arg("--max-queue-depth", type=int, metavar="N", help="throttle admission "
+             "once N requests are queued for grants (default: unbounded)"),
+        _arg("--on-grant-timeout", choices=("degrade", "fail"), default="degrade",
+             help="timed-out/throttled grants shrink to free memory and spill "
+             "(degrade) or raise (fail)"),
+        _BACKEND,
+    )),
+    Command("sweep", _cmd_sweep, "run a one-axis sweep",
+            groups=("runner", "cache", "supervision"), arguments=(
+                _arg("axis", choices=("cores", "llc")), *_TARGET,
+                _arg("--duration-scale", type=float, default=0.5), _BACKEND)),
+    Command(
+        "faults", _cmd_faults, "demonstrate fault injection and supervised recovery",
+        "Runs a small ASDB grid, each point with a different injected fault (storage "
+        "brownout, transient write errors, crash/recover, worker crash, worker "
+        "stall), under the supervised runner.  With --cache-dir, a second run "
+        "resumes from the journal and re-runs only the failed points.",
+        groups=("runner", "cache", "supervision"),
+        defaults=dict(jobs=2, timeout=60.0, on_error="collect"),
+        arguments=(
+            _arg("--duration", type=float, default=1.0,
+                 help="simulated seconds per grid point (default: %(default)s)"),
+            _arg("--stall-seconds", type=float, default=120.0,
+                 help="wall-clock sleep of the stalled worker; must exceed "
+                 "--timeout (default: %(default)s)"),
+        ),
+    ),
+    Command(
+        "admission", _cmd_admission,
+        "sweep §10 admission policies under stream oversubscription",
+        "Runs three admission policies (immediate, serialized, queued-with-timeout) "
+        "across stream oversubscription levels, reports per-stream throughput and "
+        "the RESOURCE_SEMAPHORE counters, and checks that per-stream throughput "
+        "never increases with oversubscription (monotone degradation).",
+        arguments=(
+            _arg("--scale-factor", type=int, default=100),
+            _arg("--oversub", type=_listed(int), default="1,4,16", metavar="L1,L2,...",
+                 help="comma-separated oversubscription levels relative to the "
+                 "pool's natural concurrency (default: %(default)s)"),
+            _arg("--admission-policy", default="all",
+                 choices=("immediate", "serialized", "queued", "all"),
+                 help="which policy to sweep (default: %(default)s)"),
+            _arg("--base-streams", type=int, default=4,
+                 help="streams at 1x oversubscription, the default pool's "
+                 "concurrent-grant capacity (default: %(default)s)"),
+            _arg("--grant-timeout", type=float, default=30.0, metavar="SECONDS",
+                 help="queued policy's grant timeout (default: %(default)s)"),
+            _arg("--duration-scale", type=float, default=0.4),
+            _arg("--seed", type=int, default=0),
+        ),
+    ),
+    Command(
+        "chaos", _cmd_chaos, "run a seeded chaos schedule against a replicated fleet",
+        "Composes a reproducible fault schedule from the seed, drives writer/reader "
+        "clients through a replicated shard group (heartbeat failure detection, "
+        "hedged reads), and audits four resilience invariants: no acknowledged "
+        "durable write lost, unavailability within the detection+promotion budget, "
+        "hedged p99 no worse than unhedged (--compare-hedging), and bit-identical "
+        "replay (--check-determinism; automatic for an empty schedule).  Exits 1 "
+        "if any invariant is violated.",
+        arguments=(
+            _arg("--seed", "--seeds", dest="seeds", type=_listed(int), default="0",
+                 metavar="S1,S2,...", help="schedule seed, or comma-separated seeds "
+                 "for a soak (default: %(default)s)"),
+            _arg("--duration", type=float, default=3.0,
+                 help="simulated seconds per run (default: %(default)s)"),
+            _arg("--scenario", "--faults", dest="scenario", choices=sorted(SCENARIOS),
+                 default="mixed", help="fault mix to schedule; 'none' runs "
+                 "fault-free and checks determinism (default: %(default)s)"),
+            _arg("--episodes", type=int, default=3,
+                 help="fault episodes per run (default: %(default)s)"),
+            _arg("--replicas", type=int, default=3,
+                 help="replica-group size (default: %(default)s)"),
+            _arg("--no-hedging", action="store_true",
+                 help="disable hedged reads in the primary run"),
+            _arg("--compare-hedging", action="store_true", help="re-run the identical "
+                 "schedule with hedging off and gate on the p99 comparison"),
+            _arg("--check-determinism", action="store_true", help="replay the run and "
+                 "require a bit-identical digest (always on for empty schedules)"),
+            _arg("--journal", metavar="PATH", help="append schedule/episode/failover/"
+                 "report events to this JSONL journal"),
+        ),
+    ),
+    Command(
+        "fleet", _cmd_fleet,
+        "drive open-loop traffic through a sharded multi-tenant fleet",
+        "Feeds an open-loop arrival trace (diurnal, MMPP burst or flash-crowd) from "
+        "weighted, prioritized tenants into a sharded cluster and sweeps "
+        "oversubscription while checking the graceful-degradation contract: every "
+        "most-protected tenant's p99 stays inside its SLO at every load, per-tenant "
+        "goodput degrades monotonically, and sheds land on low-priority traffic "
+        "first.  Optionally autoscales and composes seeded chaos schedules.  Exits 1 "
+        "if any contract is violated.",
+        groups=("runner",),
+        arguments=(
+            _arg("--shards", type=int, default=2,
+                 help="initial shard count (default: %(default)s)"),
+            _arg("--tenants", type=int, default=4,
+                 help="tenant count; priorities cycle 0/1/2 (default: %(default)s)"),
+            _arg("--trace", choices=TRACE_KINDS, default="diurnal",
+                 help="arrival trace shape (default: %(default)s)"),
+            _arg("--offered-tps", type=float, default=300.0, help="base offered rate "
+                 "before oversubscription (default: %(default)s)"),
+            _arg("--oversub", type=_listed(float), default="1,4,16",
+                 metavar="F1,F2,...",
+                 help="oversubscription multipliers (default: %(default)s)"),
+            _arg("--duration", type=float, default=6.0,
+                 help="simulated seconds per point (default: %(default)s)"),
+            _arg("--capacity", type=int, default=32,
+                 help="concurrent transactions per shard (default: %(default)s)"),
+            _arg("--slo-ms", type=float, default=250.0,
+                 help="per-tenant p99 SLO in ms (default: %(default)s)"),
+            _arg("--replication", type=int, default=1,
+                 help="replicas per shard (default: %(default)s)"),
+            _arg("--autoscale", action="store_true",
+                 help="enable the deterministic autoscaler"),
+            _arg("--max-shards", type=int, default=16,
+                 help="autoscaler ceiling (default: %(default)s)"),
+            _arg("--chaos", choices=sorted(SCENARIOS), help="compose a seeded chaos "
+                 "schedule of this scenario into every point"),
+            _arg("--seed", type=int, default=0),
+            _arg("--journal", metavar="PATH", help="append fleet-traffic events "
+                 "(spec digest + full report) for resume"),
+        ),
+    ),
+    Command("backends", _cmd_backends, "list engine personalities"),
+    Command(
+        "whatif", _cmd_whatif,
+        "answer sizing queries from the result cache or simulation",
+        "Answers 'what would throughput be at these knobs?' for the cross product "
+        "of the --cores and --llc-mb comma lists: a cache hit where the exact "
+        "config was measured, a simulation (stored in the cache) otherwise.",
+        groups=("allocation", "cache"), arguments=(
+            *_TARGET,
+            _arg("--cores", type=_listed(int), default="32", metavar="C1,C2,..."),
+            _arg("--llc-mb", type=_listed(int), default="40", metavar="M1,M2,..."))),
+    Command("figure", _cmd_figure, "regenerate a paper artifact",
+            groups=("runner", "cache"), arguments=(
+                _arg("name", choices=("table2", "table3", "fig5", "fig7")),
+                _arg("--duration-scale", type=float, default=0.3))),
+    Command("report", _cmd_report, "run a reduced study and print a calibration report",
+            arguments=(_arg("--duration-scale", type=float, default=0.3),)),
+    Command("list", _cmd_list, "list workloads and scale factors"),
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "faults": _cmd_faults,
-        "admission": _cmd_admission,
-        "chaos": _cmd_chaos,
-        "fleet": _cmd_fleet,
-        "backends": _cmd_backends,
-        "whatif": _cmd_whatif,
-        "figure": _cmd_figure,
-        "report": _cmd_report,
-        "list": _cmd_list,
-    }
-    return handlers[args.command](args)
+    """Parse *argv*, run the command it names, and return the exit code.
+
+    This is the one error boundary: a spec the command cannot build (a
+    configuration, workload or fault-spec error) exits 2 with one stderr
+    line.  Failures while running keep their traceback.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Resource-sensitivity experiments on the simulated testbed",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        command_parser = sub.add_parser(command.name, help=command.help,
+                                        description=command.description)
+        shared = tuple(spec for group in command.groups for spec in _GROUPS[group])
+        for flags, kwargs in command.arguments + shared:
+            command_parser.add_argument(*flags, **kwargs)
+        command_parser.set_defaults(handler=command.handler, **command.defaults)
+    args = parser.parse_args(argv)
+    try:
+        return args.handler(args)
+    except (TransientIOError, SimulatedWorkerCrash):
+        raise
+    except (ConfigurationError, WorkloadError, FaultInjectionError) as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

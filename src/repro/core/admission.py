@@ -237,7 +237,11 @@ def sweep_admission_policies(
     """
     levels = sorted(set(int(level) for level in oversubscription))
     if not levels or levels[0] < 1:
-        raise ConfigurationError("oversubscription levels must be >= 1")
+        raise ConfigurationError(f"oversubscription levels must be >= 1: "
+                                 f"oversubscription={tuple(oversubscription)!r}")
+    if not base_streams >= 1:
+        raise ConfigurationError(
+            f"base_streams must be >= 1: base_streams={base_streams!r}")
     for policy in policies:
         if policy not in ADMISSION_POLICIES:
             raise ConfigurationError(

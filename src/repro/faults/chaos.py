@@ -49,6 +49,7 @@ audit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -122,16 +123,20 @@ class ChaosConfig:
     hedging: bool = True
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise FaultInjectionError("chaos duration must be positive")
-        if self.replicas < 2:
-            raise FaultInjectionError("a fleet needs at least 2 replicas")
-        if self.episodes < 0:
-            raise FaultInjectionError("episodes must be >= 0")
+        # ``not <valid>``: a NaN duration fails here, not in the event loop.
+        if not 0 < self.duration < math.inf:
+            raise FaultInjectionError(
+                f"ChaosConfig.duration must be finite and > 0, got {self.duration!r}")
+        if not self.replicas >= 2:
+            raise FaultInjectionError(
+                f"ChaosConfig.replicas must be >= 2, got {self.replicas!r}")
+        if not self.episodes >= 0:
+            raise FaultInjectionError(
+                f"ChaosConfig.episodes must be >= 0, got {self.episodes!r}")
         if self.scenario not in SCENARIOS:
             raise FaultInjectionError(
-                f"unknown scenario {self.scenario!r}; one of {sorted(SCENARIOS)}"
-            )
+                f"ChaosConfig.scenario must be one of {sorted(SCENARIOS)}, "
+                f"got {self.scenario!r}")
 
 
 def generate_schedule(
@@ -334,11 +339,8 @@ class ChaosReport:
         return all(v is not False for v in self.invariants.values())
 
     def violations(self) -> List[str]:
-        out = []
-        for name, verdict in sorted(self.invariants.items()):
-            if verdict is False:
-                out.append(name)
-        return out
+        return [name for name, verdict in sorted(self.invariants.items())
+                if verdict is False]
 
     def raise_on_violation(self) -> None:
         bad = self.violations()
@@ -349,11 +351,34 @@ class ChaosReport:
             )
 
     def summary_lines(self) -> List[str]:
-        """Greppable one-per-invariant lines for the CLI / CI gates."""
-        lines = []
+        """The run as greppable lines for the CLI and the CI gates: the
+        schedule, the fleet and hedging counters, one line per
+        invariant, and a closing ``chaos-complete:`` line."""
+        config, fleet, hedging = self.config, self.fleet, self.hedging
+        lines = [f"chaos-schedule: seed={config.seed} scenario={config.scenario} "
+                 f"episodes={len(self.schedule)}"]
+        lines += [f"  t={episode.at:7.3f}s {episode.kind:<9} replica={episode.replica} "
+                  f"duration={episode.duration:.3f}s" for episode in self.schedule]
+        lines.append(f"  writes acked={int(fleet.get('writes_acked', 0))} "
+                     f"failovers={int(fleet.get('failovers', 0))} "
+                     f"epoch={int(fleet.get('epoch', 0))} "
+                     f"unavailable={fleet.get('unavailable_seconds', 0.0):.3f}s")
+        lines.append(f"  reads={int(hedging.get('reads', 0))} "
+                     f"hedges={int(hedging.get('hedges', 0))} "
+                     f"hedge_wins={int(hedging.get('hedge_wins', 0))}")
+        if self.failover_windows:
+            lines.append(f"  failover windows: worst={max(self.failover_windows):.3f}s "
+                         f"bound={self.availability_bound:.3f}s")
+        if self.read_p99 is not None:
+            line = f"  read p99: {self.read_p99 * 1000.0:.2f}ms"
+            if self.unhedged_read_p99 is not None:
+                line += f" (unhedged {self.unhedged_read_p99 * 1000.0:.2f}ms)"
+            lines.append(line)
         for name, verdict in sorted(self.invariants.items()):
             state = "n/a" if verdict is None else ("ok" if verdict else "VIOLATED")
             lines.append(f"invariant {name}: {state}")
+        lines.append(f"chaos-complete: seed={config.seed} ok={self.ok} "
+                     f"digest={self.digest[:16]}")
         return lines
 
 

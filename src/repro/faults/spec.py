@@ -52,13 +52,19 @@ class StorageBrownout(SimulationFault):
     latency_factor: float = 1.0
 
     def __post_init__(self):
-        if self.start < 0 or self.duration <= 0:
-            raise FaultInjectionError("brownout needs start >= 0, duration > 0")
+        # Every bound is written as ``not <valid>`` so that NaN, which
+        # fails every comparison, is rejected here and not mid-run.
+        if not self.start >= 0:
+            raise FaultInjectionError(
+                f"StorageBrownout.start must be >= 0, got {self.start!r}")
+        if not self.duration > 0:
+            raise FaultInjectionError(
+                f"StorageBrownout.duration must be > 0, got {self.duration!r}")
         for name, factor in (("read_factor", self.read_factor),
                              ("write_factor", self.write_factor)):
             if not 0 < factor <= 1.0:
                 raise FaultInjectionError(f"{name} must be in (0, 1]")
-        if self.latency_factor < 1.0:
+        if not self.latency_factor >= 1.0:
             raise FaultInjectionError("latency_factor must be >= 1")
 
 
@@ -79,8 +85,12 @@ class TransientWriteErrors(SimulationFault):
     failure_rate: float = 1.0
 
     def __post_init__(self):
-        if self.start < 0 or self.duration <= 0:
-            raise FaultInjectionError("error window needs start >= 0, duration > 0")
+        if not self.start >= 0:
+            raise FaultInjectionError(
+                f"TransientWriteErrors.start must be >= 0, got {self.start!r}")
+        if not self.duration > 0:
+            raise FaultInjectionError(
+                f"TransientWriteErrors.duration must be > 0, got {self.duration!r}")
         if not 0 < self.failure_rate <= 1.0:
             raise FaultInjectionError("failure_rate must be in (0, 1]")
 
@@ -101,8 +111,11 @@ class CoreOffline(SimulationFault):
     duration: float = 0.0  # 0 = permanent for the rest of the run
 
     def __post_init__(self):
-        if self.at < 0 or self.duration < 0:
-            raise FaultInjectionError("offline needs at >= 0, duration >= 0")
+        if not self.at >= 0:
+            raise FaultInjectionError(f"CoreOffline.at must be >= 0, got {self.at!r}")
+        if not self.duration >= 0:
+            raise FaultInjectionError(
+                f"CoreOffline.duration must be >= 0, got {self.duration!r}")
         if self.remaining_logical < 1:
             raise FaultInjectionError("must leave at least one logical CPU")
 
@@ -123,8 +136,8 @@ class CrashPoint(SimulationFault):
     at: float
 
     def __post_init__(self):
-        if self.at < 0:
-            raise FaultInjectionError("crash point must be at >= 0")
+        if not self.at >= 0:
+            raise FaultInjectionError(f"CrashPoint.at must be >= 0, got {self.at!r}")
 
 
 @dataclass(frozen=True)
@@ -147,14 +160,15 @@ class GrantStorm(SimulationFault):
     hold_seconds: float = 30.0
 
     def __post_init__(self):
-        if self.at < 0:
-            raise FaultInjectionError("storm needs at >= 0")
+        if not self.at >= 0:
+            raise FaultInjectionError(f"GrantStorm.at must be >= 0, got {self.at!r}")
         if self.queries < 1:
             raise FaultInjectionError("storm needs queries >= 1")
         if not 0 < self.pool_fraction <= 1.0:
             raise FaultInjectionError("pool_fraction must be in (0, 1]")
-        if self.hold_seconds <= 0:
-            raise FaultInjectionError("hold_seconds must be positive")
+        if not self.hold_seconds > 0:
+            raise FaultInjectionError(
+                f"GrantStorm.hold_seconds must be > 0, got {self.hold_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +191,12 @@ class ReplicaPartition(SimulationFault):
     replica: int = 0
 
     def __post_init__(self):
-        if self.start < 0 or self.duration <= 0:
-            raise FaultInjectionError("partition needs start >= 0, duration > 0")
+        if not self.start >= 0:
+            raise FaultInjectionError(
+                f"ReplicaPartition.start must be >= 0, got {self.start!r}")
+        if not self.duration > 0:
+            raise FaultInjectionError(
+                f"ReplicaPartition.duration must be > 0, got {self.duration!r}")
         if self.replica < 0:
             raise FaultInjectionError("replica index must be >= 0")
 
@@ -216,8 +234,12 @@ class WorkerStall(HarnessFault):
     attempts: int = 1
 
     def __post_init__(self):
-        if self.seconds <= 0 or self.attempts < 1:
-            raise FaultInjectionError("stall needs seconds > 0, attempts >= 1")
+        if not self.seconds > 0:
+            raise FaultInjectionError(
+                f"WorkerStall.seconds must be > 0, got {self.seconds!r}")
+        if self.attempts < 1:
+            raise FaultInjectionError(
+                f"WorkerStall.attempts must be >= 1, got {self.attempts!r}")
 
     def fires_on(self, attempt: int) -> bool:
         return attempt < self.attempts

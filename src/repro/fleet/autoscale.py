@@ -60,10 +60,20 @@ class AutoscalePolicy:
     cold_start_s: float = COLD_START_SECONDS
 
     def __post_init__(self):
-        if self.min_shards < 1 or self.max_shards < self.min_shards:
-            raise ConfigurationError("bad autoscaler shard bounds")
-        if self.interval_s <= 0 or self.cooldown_s < 0:
-            raise ConfigurationError("bad autoscaler timing")
+        # ``not <valid>`` rejects NaN, which fails every comparison.
+        if not self.min_shards >= 1:
+            raise ConfigurationError(
+                f"AutoscalePolicy.min_shards must be >= 1, got {self.min_shards!r}")
+        if not self.max_shards >= self.min_shards:
+            raise ConfigurationError(
+                f"AutoscalePolicy.max_shards must be >= min_shards "
+                f"({self.min_shards!r}), got {self.max_shards!r}")
+        if not self.interval_s > 0:
+            raise ConfigurationError(
+                f"AutoscalePolicy.interval_s must be > 0, got {self.interval_s!r}")
+        if not self.cooldown_s >= 0:
+            raise ConfigurationError(
+                f"AutoscalePolicy.cooldown_s must be >= 0, got {self.cooldown_s!r}")
         if self.shed_high < 1:
             raise ConfigurationError("shed_high must be >= 1")
         if not 0.0 <= self.low_watermark < self.high_watermark:

@@ -146,8 +146,8 @@ def default_tenants(count: int, slo_p99_ms: float = 250.0,
                     ) -> Tuple[TenantSpec, ...]:
     """A mixed-priority tenant population: priorities cycle 0/1/2 so any
     population has protected, standard, and best-effort classes."""
-    if count < 1:
-        raise ConfigurationError("need at least one tenant")
+    if not count >= 1:
+        raise ConfigurationError(f"need at least one tenant: count={count!r}")
     return tuple(
         TenantSpec(name=f"tenant{i}", priority=i % 3,
                    weight=1.0, slo_p99_ms=slo_p99_ms)
@@ -191,7 +191,7 @@ class FleetSpec:
                 f"FleetSpec.replication must be >= 1, "
                 f"got {self.replication!r}")
         if not self.tenants:
-            raise ConfigurationError("need at least one tenant")
+            raise ConfigurationError("FleetSpec.tenants must name at least one tenant")
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError("tenant names must be unique")

@@ -17,6 +17,7 @@ from repro.faults import (
     harness_faults,
     simulation_faults,
 )
+from repro.faults.spec import GrantStorm, ReplicaPartition
 from repro.hardware.storage import NvmeDevice
 from repro.sim.process import Simulator
 from repro.units import mb_per_s
@@ -43,6 +44,24 @@ class TestFaultSpecs:
             WorkerCrash(attempts=0)
         with pytest.raises(FaultInjectionError):
             WorkerStall(seconds=-1.0)
+
+    @pytest.mark.parametrize("spec,field,kwargs", [
+        (StorageBrownout, "start", dict(duration=1.0)),
+        (StorageBrownout, "duration", dict(start=0.0)),
+        (TransientWriteErrors, "start", dict(duration=1.0)),
+        (TransientWriteErrors, "duration", dict(start=0.0)),
+        (CoreOffline, "at", dict(remaining_logical=4)),
+        (CoreOffline, "duration", dict(at=0.0, remaining_logical=4)),
+        (CrashPoint, "at", {}),
+        (GrantStorm, "at", {}),
+        (GrantStorm, "hold_seconds", dict(at=0.0)),
+        (ReplicaPartition, "start", dict(duration=1.0)),
+        (ReplicaPartition, "duration", dict(start=0.0)),
+        (WorkerStall, "seconds", {}),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_nan_is_rejected_with_the_field_named(self, spec, field, kwargs):
+        with pytest.raises(FaultInjectionError, match=f"{spec.__name__}.{field}"):
+            spec(**{field: float("nan")}, **kwargs)
 
     def test_layer_filters(self):
         faults = (StorageBrownout(start=0.1, duration=0.1),

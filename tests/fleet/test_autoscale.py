@@ -71,6 +71,16 @@ class TestPolicyValidation:
         with pytest.raises(ConfigurationError):
             AutoscalePolicy(shed_high=0)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("interval_s", dict(interval_s=float("nan"))),
+        ("cooldown_s", dict(cooldown_s=float("nan"))),
+        ("min_shards", dict(min_shards=0)),
+        ("max_shards", dict(min_shards=4, max_shards=2)),
+    ])
+    def test_rejects_with_the_field_named(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"AutoscalePolicy.{field}"):
+            AutoscalePolicy(**kwargs)
+
 
 class TestScalingBehavior:
     @pytest.fixture(scope="class")

@@ -83,9 +83,12 @@ class TestChaosConfig:
         dict(replicas=1),
         dict(episodes=-1),
         dict(scenario="meteor-strike"),
+        dict(duration=float("nan")),
+        dict(duration=float("inf")),
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(FaultInjectionError):
+        (field,) = kwargs
+        with pytest.raises(FaultInjectionError, match=f"ChaosConfig.{field}"):
             ChaosConfig(**kwargs)
 
     def test_scenarios_cover_the_fault_vocabulary(self):

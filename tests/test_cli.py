@@ -4,6 +4,12 @@ import pytest
 
 from repro.cli import main
 from repro.core.sweeps import llc_sweep, on_backend
+from repro.errors import (
+    SimulatedWorkerCrash,
+    SimulationError,
+    SweepExecutionError,
+    TransientIOError,
+)
 
 
 def test_list(capsys):
@@ -114,8 +120,56 @@ def test_whatif_answers_from_the_cache_on_a_rerun(capsys, tmp_path):
 
 def test_whatif_rejects_a_bad_duration(capsys):
     code = main(["whatif", "asdb", "2000", "--duration", "-1"])
-    assert code == 1
+    assert code == 2
     assert "duration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,field", [
+    ("fleet --tenants 0", "count=0"),
+    ("fleet --shards 0", "FleetSpec.shards"),
+    ("fleet --capacity 0", "FleetSpec.capacity_per_shard"),
+    ("fleet --oversub 0", "ArrivalSpec.offered_tps"),
+    ("fleet --oversub nan", "ArrivalSpec.offered_tps"),
+    ("fleet --offered-tps nan", "ArrivalSpec.offered_tps"),
+    ("fleet --slo-ms nan", "TenantSpec.slo_p99_ms"),
+    ("fleet --autoscale --max-shards 1", "AutoscalePolicy.max_shards"),
+    ("chaos --replicas 1", "ChaosConfig.replicas"),
+    ("chaos --episodes -1", "ChaosConfig.episodes"),
+    ("chaos --duration nan", "ChaosConfig.duration"),
+    ("admission --oversub 0", "oversubscription="),
+    ("admission --base-streams 0", "base_streams="),
+    ("run asdb 2000 --cores 0", "logical_cores="),
+    ("run asdb 2000 --llc-mb 1", "llc_mb="),
+    ("run asdb 2000 --duration 0", "ExperimentConfig.duration"),
+    ("run asdb 2000 --read-limit-mb 0", "read_bw_limit="),
+    ("sweep cores asdb 2000 --retries -1", "retries="),
+    ("sweep cores asdb 2000 --duration-scale nan", "ExperimentConfig.duration"),
+    ("faults --duration 0", "StorageBrownout.duration"),
+])
+def test_spec_errors_exit_2_with_one_line_naming_the_field(argv, field, capsys):
+    argv = argv.split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"repro {argv[0]}: error: ")
+    assert field in lines[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("error", [
+    SweepExecutionError("point 0 failed"),
+    SimulationError("cannot schedule event in the past"),
+    TransientIOError("injected write error"),
+    SimulatedWorkerCrash("worker asked to die"),
+], ids=lambda error: type(error).__name__)
+def test_runtime_failures_are_not_swallowed(error, monkeypatch):
+    def fail(configs, **kwargs):
+        raise error
+
+    monkeypatch.setattr("repro.cli.run_supervised", fail)
+    with pytest.raises(type(error)):
+        main(["sweep", "cores", "asdb", "2000", "--duration-scale", "0.1"])
 
 
 def test_surrogate_commands_are_gone():
@@ -256,6 +310,14 @@ def test_malformed_list_arguments_are_usage_errors(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+def test_chaos_seed_and_seeds_are_one_option(capsys):
+    assert main(["chaos", "--seed", "11,12", "--seeds", "13", "--scenario",
+                 "none", "--duration", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "chaos-complete: seed=13 ok=True" in out
+    assert "seed=11" not in out
 
 
 def test_seed_list_runs_every_seed(capsys):

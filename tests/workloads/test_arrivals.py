@@ -265,12 +265,22 @@ class TestArrivalSpecShapes:
         ("flash-crowd", "flash_at", 1.2),
         ("flash-crowd", "flash_magnitude", 0.9),
         ("flash-crowd", "flash_width", 0.0),
+        ("poisson", "offered_tps", 0.0),
+        ("poisson", "offered_tps", float("nan")),
+        ("diurnal", "offered_tps", float("inf")),
     ])
     def test_rejects_bad_shape_at_construction(self, kind, field, value):
         from repro.workloads.arrivals import ArrivalSpec
 
         with pytest.raises(WorkloadError, match=f"ArrivalSpec.{field}"):
-            ArrivalSpec(offered_tps=100.0, trace=kind, **{field: value})
+            ArrivalSpec(**{"offered_tps": 100.0, "trace": kind, field: value})
+
+    @pytest.mark.parametrize("weight", [0.0, float("nan"), float("inf")])
+    def test_tenant_weight_must_be_finite_and_positive(self, weight):
+        from repro.workloads.arrivals import TenantTraffic
+
+        with pytest.raises(WorkloadError, match="TenantTraffic.weight"):
+            TenantTraffic(name="a", weight=weight)
 
     def test_rejects_nan_amplitude(self):
         from repro.workloads.arrivals import ArrivalSpec
